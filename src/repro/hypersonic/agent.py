@@ -776,6 +776,17 @@ class AgentCore:
         mb = self.match_buffer._fragments.get(unit_id)
         return (len(eb) if eb else 0) + (len(mb) if mb else 0)
 
+    def input_routes(self) -> tuple[tuple[str, WorkQueue, ItemKind], ...]:
+        """``(event type, queue, item kind)`` for every splitter-fed input:
+        this stage's events on the ES, negated types on the guard queue."""
+        return ((self.stage.event_type_name, self.es, ItemKind.EVENT),) + tuple(
+            (name, self.guard_q, ItemKind.GUARD)
+            for name in sorted(self.guard_type_names)
+        )
+
+    def input_queues(self) -> tuple[WorkQueue, ...]:
+        return (self.es, self.ms, self.guard_q)
+
     def queue_depth(self) -> int:
         return len(self.es) + len(self.ms) + len(self.guard_q)
 

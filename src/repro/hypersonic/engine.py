@@ -30,7 +30,6 @@ from repro.core.policies import resolve_matches
 from repro.control.planning import plan_build
 from repro.costmodel.model import CostParameters, WorkloadStatistics
 from repro.costmodel.statistics import estimate_statistics
-from repro.hypersonic.agent import AgentCore
 from repro.hypersonic.allocation import AllocationPlan
 from repro.hypersonic.buffers import BufferSnapshot
 from repro.hypersonic.fusion import FusionPlan, build_agent
@@ -171,18 +170,13 @@ class HypersonicEngine:
         agents = self.agents
 
         def global_floor() -> float:
-            floor = float("inf")
-            for agent in agents:
-                local = getattr(agent, "local_match_floor", None)
-                if local is not None:
-                    value = local()
-                    if value < floor:
-                        floor = value
-            return floor
+            return min(
+                (agent.local_match_floor() for agent in agents),
+                default=float("inf"),
+            )
 
         for agent in agents:
-            if hasattr(agent, "global_floor"):
-                agent.global_floor = global_floor
+            agent.global_floor = global_floor
 
         self._wire_routes()
 
@@ -215,28 +209,9 @@ class HypersonicEngine:
                 seed_position=stage0.item.name,
             ),
         )
-        for position, agent in enumerate(self.agents):
-            if isinstance(agent, AgentCore):
-                splitter.add_route(
-                    agent.stage.event_type_name,
-                    RouteTarget(queue=agent.es, kind=ItemKind.EVENT),
-                )
-                for type_name in agent.guard_type_names:
-                    splitter.add_route(
-                        type_name,
-                        RouteTarget(queue=agent.guard_q, kind=ItemKind.GUARD),
-                    )
-            else:  # fused agent: two event inputs
-                splitter.add_route(
-                    agent.first.event_type_name,
-                    RouteTarget(queue=agent.es, kind=ItemKind.EVENT),
-                )
-                splitter.add_route(
-                    agent.second.event_type_name,
-                    RouteTarget(
-                        queue=agent.es2, kind=ItemKind.EVENT2, is_event2=True
-                    ),
-                )
+        for agent in self.agents:
+            for type_name, queue, kind in agent.input_routes():
+                splitter.add_route(type_name, RouteTarget(queue=queue, kind=kind))
 
     # ------------------------------------------------------------------ #
     # Deterministic functional driver                                     #

@@ -2,11 +2,14 @@
 
 Fusion merges two consecutive agents into a single structure preserving
 their joint functionality so a lightweight agent does not hold two
-execution units hostage.  A fused agent keeps both pairs of buffers
-(``EB_i``/``MB_i`` and ``EB_{i+1}``/``MB_{i+1}``); results of the first
-stage's join are written into ``MB_{i+1}`` *inside* the agent instead of
-crossing a queue, and immediately joined against ``EB_{i+1}`` so the
-exactly-once pair evaluation is preserved across the internal boundary.
+execution units hostage.  A fused agent is a thin composite over one
+:class:`AgentCore` per stage: stage one owns ``EB_i``/``MB_i`` and stage
+two owns ``EB_{i+1}``/``MB_{i+1}``.  Partial matches that stage one
+extends are handed to stage two's match path in the same call instead of
+crossing a queue — the paper's "written to ``MB_{i+1}`` triggering a
+comparison against ``EB_{i+1}``" — so exactly-once pair evaluation holds
+across the internal boundary and both stages keep ``AgentCore``'s join,
+scan, purge and vector paths.
 
 Fusion is planned by :func:`plan_with_fusion` — Algorithm 2: allocate,
 fuse any agent that received fewer than two units with its lighter
@@ -14,7 +17,7 @@ neighbour, re-allocate, repeat.
 
 Restrictions (as in the paper's evaluation, which fused plain adjacent
 pairs of sequence agents): Kleene and negation-guarded stages are not
-fusable.
+fusable (:func:`fusable_stages`).
 """
 
 from __future__ import annotations
@@ -23,27 +26,42 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.core.errors import AllocationError, PatternError
-from repro.core.events import Event
-from repro.core.matches import PartialMatch
-from repro.core.nfa import ChainNFA, Stage, last_bound_event, seq_order_allows
+from repro.core.nfa import ChainNFA, Stage
 from repro.costmodel.model import (
     CostParameters,
     WorkloadStatistics,
     proportional_allocation,
 )
 from repro.hypersonic.agent import AgentCore
-from repro.hypersonic.buffers import AgentGlobalBuffer, BufferSnapshot, FragmentedBuffer
+from repro.hypersonic.buffers import BufferSnapshot
 from repro.hypersonic.items import ItemKind, Receipt, WorkItem, WorkQueue
 
-__all__ = ["FusedAgentCore", "FusionPlan", "plan_with_fusion"]
+__all__ = ["FusedAgentCore", "FusionPlan", "fusable_stages", "plan_with_fusion"]
+
+
+def fusable_stages(stages: tuple[Stage, ...], first: int) -> bool:
+    """The one fusability rule: stages ``first`` and ``first + 1`` fuse
+    only as plain sequence stages — no Kleene loop on either and no
+    negation guard before, between or after them."""
+    second = first + 1
+    return not (
+        stages[first].is_kleene
+        or stages[second].is_kleene
+        or stages[first - 1].guards_after
+        or stages[first].guards_after
+        or stages[second].guards_after
+    )
 
 
 class FusedAgentCore:
     """Two consecutive stages executed by one agent (Section 4.2).
 
     Exposes the same driving surface as :class:`AgentCore` (``pop`` /
-    ``process`` / ``has_*_work`` / ``snapshot``), so drivers and policies
-    treat fused and plain agents uniformly.
+    ``process`` / ``has_*_work`` / ``input_routes`` / ``snapshot``), so
+    drivers and policies treat fused and plain agents uniformly.  The
+    splitter feeds stage one's events as ``EVENT`` items on ES1 and stage
+    two's as ``EVENT2`` items on ES2; the MS carries stage one's inbound
+    matches.
     """
 
     def __init__(
@@ -56,62 +74,31 @@ class FusedAgentCore:
         is_last: bool,
         purge_slack: float | None = None,
     ) -> None:
-        second = first_stage_index + 1
-        if second >= len(stages):
+        if first_stage_index + 1 >= len(stages):
             raise AllocationError("fusion needs two consecutive stages")
-        for stage_index in (first_stage_index, second):
-            stage = stages[stage_index]
-            if stage.is_kleene:
-                raise PatternError("Kleene stages cannot be fused")
-        if stages[first_stage_index - 1].guards_after or stages[
-            first_stage_index
-        ].guards_after:
-            raise PatternError("negation-guarded stages cannot be fused")
-        if is_last and stages[second].guards_after:
-            raise PatternError("negation-guarded stages cannot be fused")
-
+        if not fusable_stages(stages, first_stage_index):
+            raise PatternError("Kleene and negation-guarded stages cannot be fused")
         self.agent_index = agent_index
-        self.stages = stages
-        self.first = stages[first_stage_index]
-        self.second = stages[second]
-        self.first_index = first_stage_index
-        self.second_index = second
-        self.window = window
-        self.watermark = watermark
-        self.is_last = is_last
-        self.purge_slack = window if purge_slack is None else purge_slack
-        self.guard_type_names: frozenset[str] = frozenset()
-
-        label = f"F{agent_index}"
-        self.es = WorkQueue(f"{label}.ES1")
-        self.es2 = WorkQueue(f"{label}.ES2")
-        self.ms = WorkQueue(f"{label}.MS")
-        self.guard_q = WorkQueue(f"{label}.GQ")  # always empty; kept for API
-
-        self.eb1: FragmentedBuffer[Event] = FragmentedBuffer(f"{label}.EB1")
-        self.mb1: FragmentedBuffer[PartialMatch] = FragmentedBuffer(f"{label}.MB1")
-        self.eb2: FragmentedBuffer[Event] = FragmentedBuffer(f"{label}.EB2")
-        self.mb2: FragmentedBuffer[PartialMatch] = FragmentedBuffer(f"{label}.MB2")
-        self.agb = AgentGlobalBuffer()
-
-        self.latest_e1 = float("-inf")
-        self.latest_e2 = float("-inf")
-        self.latest_m = float("-inf")
-        self.latest_internal = float("-inf")
+        self.stage1 = AgentCore(
+            agent_index, stages, first_stage_index, window, watermark,
+            is_last=False, purge_slack=purge_slack,
+        )
+        self.stage2 = AgentCore(
+            agent_index, stages, first_stage_index + 1, window, watermark,
+            is_last=is_last, purge_slack=purge_slack,
+        )
+        # Stage two's matches come from stage one inside this agent, never
+        # through a queue of its own.  Sharing the inbound MS bounds its
+        # event-buffer horizon by the oldest match still queued here (the
+        # match in hand bounds it too, as in every AgentCore).
+        self.stage2.ms = self.stage1.ms
+        self.es = self.stage1.es
+        self.es2 = self.stage2.es
+        self.ms = self.stage1.ms
+        self.mb1 = self.stage1.match_buffer
+        self.mb2 = self.stage2.match_buffer
         self.items_processed = 0
-
-        # Batched execution mode (opt-in via :meth:`enable_vector_mode`):
-        # one StageKernel per fused stage, plus per-owner columnar views
-        # over the four fragments.  ``None`` kernel = stage not
-        # vectorizable; that side of the join keeps the scalar loop.
         self.vector_mode = False
-        self._kernel1 = None
-        self._kernel2 = None
-        self._kernels_compiled = False
-        self._mb1_columns: dict[int, object] = {}
-        self._mb2_columns: dict[int, object] = {}
-        self._eb1_columns: dict[int, object] = {}
-        self._eb2_columns: dict[int, object] = {}
 
     # -- work intake ----------------------------------------------------- #
 
@@ -132,6 +119,16 @@ class FusedAgentCore:
             return self.es2.pop(now)
         return self.ms.pop(now)
 
+    def input_routes(self) -> tuple[tuple[str, WorkQueue, ItemKind], ...]:
+        """``(event type, queue, item kind)`` for every splitter-fed input."""
+        return (
+            (self.stage1.stage.event_type_name, self.es, ItemKind.EVENT),
+            (self.stage2.stage.event_type_name, self.es2, ItemKind.EVENT2),
+        )
+
+    def input_queues(self) -> tuple[WorkQueue, ...]:
+        return (self.es, self.es2, self.ms)
+
     def queue_depth(self) -> int:
         return len(self.es) + len(self.es2) + len(self.ms)
 
@@ -144,6 +141,7 @@ class FusedAgentCore:
         )
 
     def maintenance(self) -> Receipt:
+        # Fused stages hold no guards or Kleene loops: nothing is held back.
         return Receipt()
 
     def flush(self) -> Receipt:
@@ -153,380 +151,73 @@ class FusedAgentCore:
 
     def process(self, item: WorkItem, unit_id: int) -> Receipt:
         self.items_processed += 1
-        if item.kind is ItemKind.EVENT:
-            return self._process_e1(item.payload, unit_id)
         if item.kind is ItemKind.EVENT2:
-            return self._process_e2(item.payload, unit_id)
-        if item.kind is ItemKind.MATCH:
-            return self._process_match(item.payload, unit_id)
-        raise AllocationError(f"fused agent cannot process {item.kind}")
-
-    def enable_vector_mode(self) -> bool:
-        """Compile both fused stages' vectorized kernels (batched mode).
-
-        Returns ``True`` when at least one side is vectorizable; each side
-        without a kernel keeps its scalar loop.  Idempotent.
-        """
-        if not self._kernels_compiled:
-            from repro.core.vectorized import compile_stage_kernel
-
-            self._kernel1 = compile_stage_kernel(self.first)
-            self._kernel2 = compile_stage_kernel(self.second)
-            self._kernels_compiled = True
-        self.vector_mode = (
-            self._kernel1 is not None or self._kernel2 is not None
-        )
-        return self.vector_mode
+            return self.stage2.process(_as_event(item), unit_id)
+        return self._into_second(self.stage1.process(item, unit_id), unit_id)
 
     def process_batch(self, items: list[WorkItem], unit_id: int) -> Receipt:
-        """Process a micro-batch of work items with one merged receipt.
-
-        Single-kind event batches on a vectorized side take the batched
-        scan — one MB-fragment traversal amortized over the batch; mixed
-        kinds or a missing kernel fall back to the scalar loop.  The match
-        set is identical either way (exactly-once pair evaluation, as for
-        the plain agent's batched path).
-        """
-        if len(items) > 1:
-            if self._kernel1 is not None and all(
-                item.kind is ItemKind.EVENT for item in items
-            ):
-                self.items_processed += len(items)
-                return self._process_e1_batch(
-                    [item.payload for item in items], unit_id
-                )
-            if self._kernel2 is not None and all(
-                item.kind is ItemKind.EVENT2 for item in items
-            ):
-                self.items_processed += len(items)
-                return self._process_e2_batch(
-                    [item.payload for item in items], unit_id
-                )
-        receipt = Receipt()
-        for item in items:
-            receipt.merge(self.process(item, unit_id))
-        return receipt
-
-    def _process_e1_batch(
-        self, events: list[Event], unit_id: int
-    ) -> Receipt:
-        """Batched first-stage scan: one MB1 traversal over the batch.
-
-        ES1 deliveries are timestamp-FIFO, so the purge horizon from the
-        batch's *first* event is lax for every later one; extra retained
-        items cannot match (they fail ``fits_with``), keeping the match
-        set identical to the scalar order.  The same lax horizon caps the
-        internal MB2/EB2 purges — mid-batch ``latest_internal`` may run
-        ahead of the event in hand, and purging with it would drop EB2
-        events an earlier event's extension could still reach.
-        """
-        receipt = Receipt()
-        window = self.window
-        kernel = self._kernel1
-        horizon = events[0].timestamp - window - self.purge_slack
-        for event in events:
-            if event.timestamp > self.latest_e1:
-                self.latest_e1 = event.timestamp
-        for owner, _fragment in self.mb1.fragments():
-            self._purge(self.mb1, owner, horizon, match=True)
-            resident = self.mb1._fragments.get(owner)
-            if not resident:
-                receipt.note_fragment(0)
-                continue
-            receipt.note_fragment(len(resident))
-            columns = self._match_columns(
-                self._mb1_columns, self.mb1, owner, kernel,
-                self.first_index, resident,
+        """Process a micro-batch drained from one input queue with one
+        merged receipt, through that stage's batched scan."""
+        self.items_processed += len(items)
+        if items[0].kind is ItemKind.EVENT2:
+            return self.stage2.process_batch(
+                [_as_event(item) for item in items], unit_id
             )
-            for event in events:
-                candidates = columns.candidate_indices(event, window)
-                if not candidates:
-                    continue
-                receipt.vector_comparisons += len(candidates)
-                accepted = kernel.accepts_over_matches(
-                    event, columns, candidates,
-                    scalar=lambda i, e=event, r=resident: (
-                        self.first.accepts(r[i], e)
-                    ),
-                )
-                for index in accepted:
-                    extended = resident[index].extended(
-                        self.first.item.name, event
-                    )
-                    self._into_second(
-                        extended, unit_id, receipt, horizon_cap=horizon
-                    )
-        for event in events:
-            self.eb1.store(unit_id, event)
-            self.agb.retain_event(event)
-        return receipt
-
-    def _process_e2_batch(
-        self, events: list[Event], unit_id: int
-    ) -> Receipt:
-        """Batched second-stage scan: one MB2 traversal over the batch
-        (same FIFO horizon argument as :meth:`_process_e1_batch`)."""
-        receipt = Receipt()
-        window = self.window
-        kernel = self._kernel2
-        horizon = events[0].timestamp - window - self.purge_slack
-        for event in events:
-            if event.timestamp > self.latest_e2:
-                self.latest_e2 = event.timestamp
-        for owner, _fragment in self.mb2.fragments():
-            self._purge(self.mb2, owner, horizon, match=True)
-            resident = self.mb2._fragments.get(owner)
-            if not resident:
-                receipt.note_fragment(0)
-                continue
-            receipt.note_fragment(len(resident))
-            columns = self._match_columns(
-                self._mb2_columns, self.mb2, owner, kernel,
-                self.second_index, resident,
-            )
-            for event in events:
-                candidates = columns.candidate_indices(event, window)
-                if not candidates:
-                    continue
-                receipt.vector_comparisons += len(candidates)
-                accepted = kernel.accepts_over_matches(
-                    event, columns, candidates,
-                    scalar=lambda i, e=event, r=resident: (
-                        self.second.accepts(r[i], e)
-                    ),
-                )
-                for index in accepted:
-                    final = resident[index].extended(
-                        self.second.item.name, event
-                    )
-                    receipt.successes += 1
-                    receipt.emitted_down.append(final)
-        for event in events:
-            self.eb2.store(unit_id, event)
-            self.agb.retain_event(event)
-        return receipt
-
-    def _match_columns(self, cache: dict, buffer: FragmentedBuffer,
-                       owner: int, kernel, stage_index: int,
-                       fragment: list):
-        from repro.core.vectorized import MatchColumns
-
-        version = buffer.version(owner)
-        columns = cache.get(owner)
-        if columns is None or columns.version != version:
-            columns = MatchColumns(kernel, version, self.stages, stage_index)
-            cache[owner] = columns
-        columns.sync(fragment)
-        return columns
-
-    def _event_columns(self, cache: dict, buffer: FragmentedBuffer,
-                       owner: int, kernel, fragment: list):
-        from repro.core.vectorized import EventColumns
-
-        version = buffer.version(owner)
-        columns = cache.get(owner)
-        if columns is None or columns.version != version:
-            columns = EventColumns(kernel, version)
-            cache[owner] = columns
-        columns.sync(fragment)
-        return columns
-
-    def _scan_events_vector(self, partial: PartialMatch, resident: list,
-                            owner: int, cache: dict,
-                            buffer: FragmentedBuffer, kernel,
-                            stage_index: int, stage: Stage,
-                            receipt: Receipt) -> list[PartialMatch]:
-        """Vectorized EB-fragment scan for one partial match: window/order
-        pre-masks over the columnar view, then the stage kernel over the
-        surviving candidates.  Returns the extensions in fragment order."""
-        columns = self._event_columns(cache, buffer, owner, kernel, resident)
-        last = last_bound_event(partial, self.stages, stage_index)
-        if last is None:
-            last_ts, last_id = float("-inf"), -1
-        else:
-            last_ts, last_id = last.timestamp, last.event_id
-        candidates = columns.candidate_indices(
-            partial.earliest, partial.latest, last_ts, last_id, self.window
+        return self._into_second(
+            self.stage1.process_batch(items, unit_id), unit_id
         )
-        if not candidates:
-            return []
-        receipt.vector_comparisons += len(candidates)
-        accepted = kernel.accepts_over_events(
-            partial, columns, candidates,
-            scalar=lambda i: stage.accepts(partial, resident[i]),
-        )
-        return [
-            partial.extended(stage.item.name, resident[index])
-            for index in accepted
-        ]
 
-    def _process_e1(self, event: Event, unit_id: int) -> Receipt:
-        receipt = Receipt()
-        if event.timestamp > self.latest_e1:
-            self.latest_e1 = event.timestamp
-        horizon = self.latest_e1 - self.window - self.purge_slack
-        for owner, _fragment in self.mb1.fragments():
-            self._purge(self.mb1, owner, horizon, match=True)
-            resident = self.mb1._fragments.get(owner, ())
-            receipt.note_fragment(len(resident))
-            for partial in resident:
-                extended = self._join_first(partial, event, receipt)
-                if extended is not None:
-                    self._into_second(extended, unit_id, receipt)
-        self.eb1.store(unit_id, event)
-        self.agb.retain_event(event)
-        return receipt
+    def enable_vector_mode(self) -> bool:
+        """Compile both stages' vectorized kernels (batched mode); a stage
+        without one keeps its scalar path.  Idempotent."""
+        first = self.stage1.enable_vector_mode()
+        second = self.stage2.enable_vector_mode()
+        self.vector_mode = first or second
+        return self.vector_mode
 
-    def _process_e2(self, event: Event, unit_id: int) -> Receipt:
-        receipt = Receipt()
-        if event.timestamp > self.latest_e2:
-            self.latest_e2 = event.timestamp
-        horizon = self.latest_e2 - self.window - self.purge_slack
-        for owner, _fragment in self.mb2.fragments():
-            self._purge(self.mb2, owner, horizon, match=True)
-            resident = self.mb2._fragments.get(owner, ())
-            receipt.note_fragment(len(resident))
-            for partial in resident:
-                final = self._join_second(partial, event, receipt)
-                if final is not None:
-                    receipt.successes += 1
-                    receipt.emitted_down.append(final)
-        self.eb2.store(unit_id, event)
-        self.agb.retain_event(event)
-        return receipt
+    def _into_second(self, receipt: Receipt, unit_id: int) -> Receipt:
+        """Hand stage one's extensions to stage two's match path.
 
-    def _process_match(self, partial: PartialMatch, unit_id: int) -> Receipt:
-        receipt = Receipt()
-        if partial.timestamp > self.latest_m:
-            self.latest_m = partial.timestamp
-        horizon = self.latest_m - self.window - self.purge_slack
-        for owner, _fragment in self.eb1.fragments():
-            self._purge(self.eb1, owner, horizon, match=False)
-            resident = self.eb1._fragments.get(owner, ())
-            receipt.note_fragment(len(resident))
-            if self._kernel1 is not None and resident:
-                for extended in self._scan_events_vector(
-                    partial, resident, owner, self._eb1_columns, self.eb1,
-                    self._kernel1, self.first_index, self.first, receipt,
-                ):
-                    self._into_second(extended, unit_id, receipt)
-                continue
-            for event in resident:
-                extended = self._join_first(partial, event, receipt)
-                if extended is not None:
-                    self._into_second(extended, unit_id, receipt)
-        self.mb1.store(unit_id, partial)
-        self.agb.retain_match(partial)
-        return receipt
-
-    def _into_second(
-        self, extended: PartialMatch, unit_id: int, receipt: Receipt,
-        horizon_cap: float | None = None,
-    ) -> None:
-        """An internal match entering MB2: join against EB2 immediately,
-        then store — the paper's 'written to MB_{i+1} triggering a
-        comparison against EB_{i+1}'.
-
-        ``horizon_cap`` bounds the EB2 purge during a batched first-stage
-        scan, where ``latest_internal`` can run ahead of the event whose
-        extensions are still being joined (see ``_process_e1_batch``).
+        They go in ascending timestamp order: stage two bounds each EB
+        purge by the match in hand, so no purge can pass a match still
+        waiting in this hand-off — which also keeps a batched stage-one
+        scan from purging EB2 past anything its own extensions need.
         """
-        if extended.timestamp > self.latest_internal:
-            self.latest_internal = extended.timestamp
-        horizon = self.latest_internal - self.window - self.purge_slack
-        if horizon_cap is not None and horizon_cap < horizon:
-            horizon = horizon_cap
-        for owner, _fragment in self.eb2.fragments():
-            self._purge(self.eb2, owner, horizon, match=False)
-            resident = self.eb2._fragments.get(owner, ())
-            receipt.note_fragment(len(resident))
-            if self._kernel2 is not None and resident:
-                for final in self._scan_events_vector(
-                    extended, resident, owner, self._eb2_columns, self.eb2,
-                    self._kernel2, self.second_index, self.second, receipt,
-                ):
-                    receipt.successes += 1
-                    receipt.emitted_down.append(final)
-                continue
-            for event in resident:
-                final = self._join_second(extended, event, receipt)
-                if final is not None:
-                    receipt.successes += 1
-                    receipt.emitted_down.append(final)
-        self.mb2.store(unit_id, extended)
-        self.agb.retain_match(extended)
-
-    def _join_first(
-        self, partial: PartialMatch, event: Event, receipt: Receipt
-    ) -> PartialMatch | None:
-        if not partial.fits_with(event, self.window):
-            return None
-        if not seq_order_allows(partial, self.stages, self.first_index, event):
-            return None
-        receipt.comparisons += 1
-        if not self.first.accepts(partial, event):
-            return None
-        return partial.extended(self.first.item.name, event)
-
-    def _join_second(
-        self, partial: PartialMatch, event: Event, receipt: Receipt
-    ) -> PartialMatch | None:
-        if not partial.fits_with(event, self.window):
-            return None
-        if not seq_order_allows(partial, self.stages, self.second_index, event):
-            return None
-        receipt.comparisons += 1
-        if not self.second.accepts(partial, event):
-            return None
-        return partial.extended(self.second.item.name, event)
-
-    def _purge(self, buffer: FragmentedBuffer, owner: int, horizon: float,
-               match: bool) -> None:
-        if horizon <= float("-inf"):
-            return
-        fragment = buffer._fragments.get(owner)
-        if not fragment:
-            return
-        kept = []
-        for item in fragment:
-            stamp = item.timestamp
-            if stamp >= horizon:
-                kept.append(item)
-            elif match:
-                self.agb.release_match(item)
-            else:
-                self.agb.release_event(item)
-        if len(kept) != len(fragment):
-            # replace_fragment bumps the fragment's purge version, which
-            # invalidates any cached columnar view over it (batched mode).
-            buffer.replace_fragment(owner, kept)
+        internal = sorted(
+            receipt.emitted_down, key=lambda partial: partial.timestamp
+        )
+        receipt.emitted_down = []
+        for partial in internal:
+            receipt.merge(
+                self.stage2.process(WorkItem(ItemKind.MATCH, partial), unit_id)
+            )
+        return receipt
 
     # -- introspection ----------------------------------------------------- #
 
+    def local_match_floor(self) -> float:
+        """Minimum timestamp of any match alive in either stage."""
+        return min(self.stage1.local_match_floor(),
+                   self.stage2.local_match_floor())
+
     def snapshot(self) -> BufferSnapshot:
-        mb_pointers = sum(
-            partial.event_count() for partial in self.mb1.all_items()
-        ) + sum(partial.event_count() for partial in self.mb2.all_items())
-        return BufferSnapshot(
-            eb_items=self.eb1.total_items() + self.eb2.total_items(),
-            mb_items=self.mb1.total_items() + self.mb2.total_items(),
-            mb_pointers=mb_pointers,
-            agb_bytes=self.agb.current_bytes,
+        return BufferSnapshot.merge(
+            [self.stage1.snapshot(), self.stage2.snapshot()]
         )
 
     def working_set_items(self, unit_id: int) -> int:
-        total = 0
-        for buffer in (self.eb1, self.eb2, self.mb1, self.mb2):
-            fragment = buffer._fragments.get(unit_id)
-            if fragment:
-                total += len(fragment)
-        return total
+        return (self.stage1.working_set_items(unit_id)
+                + self.stage2.working_set_items(unit_id))
 
     def __repr__(self) -> str:
         return (
             f"FusedAgentCore(F{self.agent_index}, stages="
-            f"{self.first_index}+{self.second_index})"
+            f"{self.stage1.stage_index}+{self.stage2.stage_index})"
         )
+
+
+def _as_event(item: WorkItem) -> WorkItem:
+    return WorkItem(ItemKind.EVENT, item.payload)
 
 
 @dataclass(frozen=True)
@@ -559,18 +250,10 @@ class FusionPlan:
 
 def _fusable(nfa: ChainNFA, group_a: tuple[int, ...],
              group_b: tuple[int, ...]) -> bool:
-    """Only plain adjacent single-stage agents fuse (module docstring)."""
+    """Only adjacent single-stage agents fuse, by :func:`fusable_stages`."""
     if len(group_a) > 1 or len(group_b) > 1:
         return False
-    first, second = group_a[0], group_b[0]
-    stages = nfa.stages
-    if stages[first].is_kleene or stages[second].is_kleene:
-        return False
-    if stages[first - 1].guards_after or stages[first].guards_after:
-        return False
-    if stages[second].guards_after:
-        return False
-    return True
+    return fusable_stages(nfa.stages, group_a[0])
 
 
 def plan_with_fusion(

@@ -3,9 +3,8 @@
 This module runs the HYPERSONIC agent chain on real OS *processes* — the
 chain is cut into contiguous slices of agents, each slice hosted by one
 worker process, with the parent playing the splitter over bounded
-``multiprocessing`` queues.  Unlike :mod:`repro.runtime.threads` (GIL-bound,
-correctness-only), separate processes execute on separate cores, so this
-backend produces *measured* wall-clock traces: the same JSONL schema the
+``multiprocessing`` queues.  Separate processes execute on separate
+cores, so this backend produces *measured* wall-clock traces: the same JSONL schema the
 virtual-clock simulators emit (``UNIT_BUSY`` spans against a shared
 monotonic epoch, an ``ALLOC_PLAN`` with fittable feature rows), which lets
 :func:`repro.costmodel.fitting.fit_from_trace` calibrate
@@ -29,7 +28,7 @@ Determinism contract
 --------------------
 Message interleavings are racy, but the agents' streaming join evaluates
 every event/match pair exactly once regardless of arrival order, and a
-worker's local watermark only ever *lags* the threads engine's eager
+worker's local watermark only ever *lags* the parent splitter's eager
 watermark (it advances exclusively through parent-sourced messages, whose
 per-producer FIFO guarantees every guard candidate is enqueued before any
 watermark that passes it).  Lagging is always safe — it can only delay
@@ -366,9 +365,9 @@ def _run_worker(spec: _WorkerSpec, inbox, downstream, results) -> None:
         if message is not None:
             handle(message)
         # Transfer the whole pending inbox BEFORE any watermark-dependent
-        # decision — the same discipline as the threads engine keeps the
-        # negation quarantine sound (every striking guard routed before a
-        # watermark value is already queued when that value is observed).
+        # decision — this keeps the negation quarantine sound (every
+        # striking guard routed before a watermark value is already
+        # queued when that value is observed).
         while True:
             try:
                 pending = inbox.get_nowait()

@@ -40,7 +40,6 @@ from repro.core.matches import Match
 from repro.core.patterns import Pattern
 from repro.core.policies import resolve_matches
 from repro.costmodel.model import CostParameters, WorkloadStatistics
-from repro.hypersonic.agent import AgentCore
 from repro.hypersonic.buffers import BufferSnapshot
 from repro.hypersonic.engine import HypersonicConfig, HypersonicEngine
 from repro.hypersonic.items import ItemKind, Receipt, WorkItem
@@ -175,12 +174,10 @@ class HypersonicSimulation:
         engine.build()
         if self.knobs.batch_size > 1:
             # Compile vectorized stage kernels where the conditions allow;
-            # agents without one (Kleene, fused, arbitrary predicates) keep
+            # stages without one (Kleene, arbitrary predicates) keep
             # the scalar path even inside a batch.
             for agent in engine.agents:
-                enable = getattr(agent, "enable_vector_mode", None)
-                if enable is not None:
-                    enable()
+                agent.enable_vector_mode()
         if self.shed_bound > 0:
             self.shedder = self._build_shedder()
             engine.splitter.shedder = self.shedder
@@ -281,12 +278,11 @@ class HypersonicSimulation:
         guard_types: set[str] = set()
         consumers: dict[str, object] = {}
         for agent in engine.agents:
-            guard_types |= set(agent.guard_type_names)
-            if isinstance(agent, AgentCore):
-                consumers[agent.stage.event_type_name] = agent
-            else:  # fused agent: two event inputs
-                consumers[agent.first.event_type_name] = agent
-                consumers[agent.second.event_type_name] = agent
+            for type_name, _queue, kind in agent.input_routes():
+                if kind is ItemKind.GUARD:
+                    guard_types.add(type_name)
+                else:
+                    consumers[type_name] = agent
         return LoadShedder(
             bound=self.shed_bound,
             policy=self.shed_policy,
@@ -467,21 +463,20 @@ class HypersonicSimulation:
         items = [selection.item]
         batch = self.knobs.batch_size
         batch_queue = None
-        if (
-            batch > 1
-            and getattr(agent, "vector_mode", False)
-            and not agent.guard_q.has_ready(time)
-        ):
+        if batch > 1 and agent.vector_mode:
             # Micro-batch: drain up to batch_size ready same-kind items in
             # one agent turn so the batched scan amortizes the fragment
-            # locks.  Plain agents batch their single ES; fused agents
-            # batch whichever of ES1/ES2 the popped item came from (the
-            # queues hold distinct kinds, so a single-queue drain is a
-            # single-kind batch by construction).
-            if selection.item.kind is ItemKind.EVENT:
-                batch_queue = agent.es
-            elif selection.item.kind is ItemKind.EVENT2:
-                batch_queue = getattr(agent, "es2", None)
+            # locks — from the event queue the popped item came from (each
+            # input queue holds one kind, so a single-queue drain is a
+            # single-kind batch by construction).  Ready guard work blocks
+            # batching, as agents drain their guard queue before the ES.
+            for _type, queue, kind in agent.input_routes():
+                if kind is ItemKind.GUARD:
+                    if queue.has_ready(time):
+                        batch_queue = None
+                        break
+                elif kind is selection.item.kind:
+                    batch_queue = queue
         if batch_queue is not None:
             while len(items) < batch:
                 follow = batch_queue.pop(time)
@@ -576,13 +571,8 @@ class HypersonicSimulation:
     def _next_ready_time(self, unit) -> float | None:
         agent = self.engine.agents[unit.current_agent]
         candidates = []
-        for queue in (agent.es, agent.ms, agent.guard_q):
+        for queue in agent.input_queues():
             ready = queue.peek_ready_at()
-            if ready is not None:
-                candidates.append(ready)
-        queue2 = getattr(agent, "es2", None)
-        if queue2 is not None:
-            ready = queue2.peek_ready_at()
             if ready is not None:
                 candidates.append(ready)
         return min(candidates) if candidates else None

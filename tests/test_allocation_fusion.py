@@ -136,6 +136,21 @@ class TestFusedAgentCore:
         # The (A,B) intermediate must meet the buffered C in the same call.
         assert len(receipt.emitted_down) == 1
 
+    def test_batched_scan_keeps_eb2_for_pending_extensions(self):
+        # A stage-one batch spanning more than W extends the newer seed
+        # first (its MB1 fragment is scanned first).  Stage two must not
+        # purge the C an older extension of the same batch still needs.
+        fused = self.build()
+        fused.enable_vector_mode()
+        fused.process(WorkItem(ItemKind.EVENT2, ev(C, 5)), unit_id=0)
+        for unit, t in ((0, 30), (1, 0)):
+            seed = PartialMatch.of("p1", ev(A, t))
+            fused.process(WorkItem(ItemKind.MATCH, seed), unit_id=unit)
+        receipt = fused.process_batch(
+            [WorkItem(ItemKind.EVENT, ev(B, t)) for t in (1, 31)], unit_id=0
+        )
+        assert [m.earliest for m in receipt.emitted_down] == [0]
+
     def test_minimum_two_workers_suffice(self):
         fused = self.build()
         assert fused.pop("event") is None
@@ -145,14 +160,22 @@ class TestFusedAgentCore:
         assert fused.pop("event").kind is ItemKind.EVENT2
 
     def test_guarded_stage_rejected(self):
-        nfa = compile_pattern(
-            Pattern.sequence(["A", "X", "B", "C"], window=5.0, negated=[1])
-        )
-        with pytest.raises(PatternError):
-            FusedAgentCore(
-                agent_index=0, stages=nfa.stages, first_stage_index=1,
-                window=5.0, watermark=lambda: 0.0, is_last=False,
+        # The constructor and the planner share one fusability rule:
+        # negation-guarded and Kleene stages are rejected by both.
+        for pattern in (
+            Pattern.sequence(["A", "X", "B", "C"], window=5.0, negated=[1]),
+            Pattern.sequence(["A", "B", "C", "D"], window=5.0, kleene=[2]),
+        ):
+            nfa = compile_pattern(pattern)
+            with pytest.raises(PatternError):
+                FusedAgentCore(
+                    agent_index=0, stages=nfa.stages, first_stage_index=1,
+                    window=5.0, watermark=lambda: 0.0, is_last=False,
+                )
+            plan = plan_with_fusion(
+                nfa, stats_for(nfa), total_units=8, force_pairs=((1, 2),)
             )
+            assert (1, 2) not in plan.groups
 
     def test_snapshot_covers_both_pairs(self):
         fused = self.build()

@@ -156,15 +156,30 @@ def test_all_strategies_accept_batch_size(pattern, seed):
 def test_fused_batched_matches_scalar_oracle(pattern, seed, batch_size):
     """Fused agents (MB1/EB1 + MB2/EB2 cores) under batched execution:
     the columnar kernels over both stage groups must reproduce exactly
-    the scalar match-key set, including the batch_size=1 degenerate."""
+    the scalar match-key set, including the batch_size=1 degenerate.
+
+    Fusion only moves the internal boundary inside one agent, so with
+    agent dynamics on or off the fused run must also report the same
+    match count and the same total comparisons as the unfused run."""
     events = workload(seed)
     expected = reference_keys(pattern, events)
-    config = HypersonicConfig(fusion=True, force_fusion_pairs=((1, 2),))
-    sim = HypersonicSimulation(
-        pattern, NUM_UNITS, config=config, batch_size=batch_size
-    )
-    sim.run(events)
-    assert {match.key for match in sim.matches} == expected
+    for agent_dynamic in (False, True):
+        fused_config = HypersonicConfig(
+            fusion=True, force_fusion_pairs=((1, 2),),
+            agent_dynamic=agent_dynamic,
+        )
+        sim = HypersonicSimulation(
+            pattern, NUM_UNITS, config=fused_config, batch_size=batch_size
+        )
+        fused = sim.run(events)
+        assert {match.key for match in sim.matches} == expected
+        plain = HypersonicSimulation(
+            pattern, NUM_UNITS,
+            config=HypersonicConfig(agent_dynamic=agent_dynamic),
+            batch_size=batch_size,
+        ).run(events)
+        assert fused.matches == plain.matches
+        assert fused.total_comparisons == plain.total_comparisons
 
 
 @pytest.mark.parametrize("pattern,seed", WORKLOADS)

@@ -5,12 +5,16 @@ import pytest
 from tests.conftest import make_stream, reference_matches
 from repro.core import (
     AttributeCondition,
+    Event,
+    EventType,
+    PartialMatch,
     Pattern,
     PatternError,
 )
 from repro.core.errors import AllocationError
 from repro.engine import assert_equivalent
 from repro.hypersonic import HypersonicConfig, HypersonicEngine, detect_hybrid
+from repro.hypersonic.items import ItemKind, WorkItem
 
 
 PATTERNS = [
@@ -74,6 +78,26 @@ def test_fusion_matches_sequential():
     assert_equivalent(reference, got, "fusion")
     assert engine.fusion_plan is not None
     assert (1, 2) in engine.fusion_plan.groups
+
+
+def test_fused_agent_counts_toward_global_match_floor():
+    """A match queued at a fused agent is alive: the downstream guarded
+    agent's system-wide floor (which bounds its guard-event purge) must
+    see it."""
+    pattern = Pattern.sequence(
+        ["A", "B", "C", "D", "X", "E"], window=6.0, negated=[4]
+    )
+    config = HypersonicConfig(force_fusion_pairs=((1, 2),))
+    engine = HypersonicEngine(pattern, num_units=8, config=config)
+    engine.ensure_statistics(make_stream(num_events=200, seed=14))
+    engine.build()
+    assert engine.fusion_plan.groups[0] == (1, 2)
+    fused, guarded = engine.agents[0], engine.agents[2]
+    assert guarded.internal_guards
+    assert guarded.global_floor() == float("inf")
+    seed = PartialMatch.of("p1", Event(EventType("A"), 3.0))
+    fused.ms.push(WorkItem(ItemKind.MATCH, seed))
+    assert guarded.global_floor() == 3.0
 
 
 def test_detect_hybrid_wrapper():
