@@ -43,6 +43,8 @@ __all__ = [
     "NotCondition",
     "CorrelationCondition",
     "KLEENE_REDUCTIONS",
+    "CENTER_CACHE_SIZE",
+    "center_history",
     "kleene_representative",
     "pearson_correlation",
 ]
@@ -124,6 +126,15 @@ def kleene_representative(bound: Any, reduce: str = "last") -> Event:
     return bound
 
 
+def _representative(bound: Any, reduce: str) -> Event:
+    """:func:`kleene_representative` for a condition's own ``reduce``,
+    which ``__post_init__`` has already validated: a single event passes
+    straight through."""
+    if isinstance(bound, tuple):
+        return kleene_representative(bound, reduce)
+    return bound
+
+
 def _check_reduce(reduce: str) -> None:
     if reduce not in KLEENE_REDUCTIONS:
         raise ConditionError(
@@ -155,7 +166,7 @@ class UnaryCondition(Condition):
     def evaluate(self, binding: Binding) -> bool:
         return bool(
             self.predicate(
-                kleene_representative(binding[self.position], self.reduce)
+                _representative(binding[self.position], self.reduce)
             )
         )
 
@@ -188,8 +199,8 @@ class PairwiseCondition(Condition):
     def evaluate(self, binding: Binding) -> bool:
         return bool(
             self.predicate(
-                kleene_representative(binding[self.left], self.reduce),
-                kleene_representative(binding[self.right], self.reduce),
+                _representative(binding[self.left], self.reduce),
+                _representative(binding[self.right], self.reduce),
             )
         )
 
@@ -235,8 +246,8 @@ class AttributeCondition(Condition):
         return frozenset({self.left, self.right})
 
     def evaluate(self, binding: Binding) -> bool:
-        left_event = kleene_representative(binding[self.left], self.reduce)
-        right_event = kleene_representative(binding[self.right], self.reduce)
+        left_event = _representative(binding[self.left], self.reduce)
+        right_event = _representative(binding[self.right], self.reduce)
         try:
             lhs = left_event[self.left_attribute]
             rhs = right_event[self.right_attribute]
@@ -338,6 +349,56 @@ class AggregateCondition(Condition):
         )
 
 
+#: Most centered histories :func:`center_history` keeps.  Each history is
+#: compared against every partial match in its window, so a small table
+#: serves nearly every lookup; a large one costs resident memory.
+CENTER_CACHE_SIZE = 256
+
+# id(tuple) -> (tuple, centered).  Each entry holds its tuple, so the id
+# cannot be reused while the entry lives.  Dicts keep insertion order, so
+# the first key is the oldest entry (FIFO eviction).
+_centered: dict[int, tuple[Sequence[float], Any]] = {}
+
+
+def center_history(
+    seq: Sequence[float],
+) -> tuple[tuple[float, ...], float] | None:
+    """Deviations of *seq* from its mean and the root of their squared sum;
+    ``None`` if the correlation is degenerate (too short or constant, so
+    always 0.0).
+
+    Both the scalar :func:`pearson_correlation` and the batched kernels in
+    :mod:`repro.core.vectorized` center through this one function, so
+    their per-history arithmetic is the same code.  Results for tuples are
+    cached by identity in a table of at most :data:`CENTER_CACHE_SIZE`
+    entries; lists may change between calls and are never cached.
+    """
+    if type(seq) is tuple:
+        entry = _centered.get(id(seq))
+        if entry is not None and entry[0] is seq:
+            return entry[1]
+        result = _center(seq)
+        if len(_centered) >= CENTER_CACHE_SIZE:
+            del _centered[next(iter(_centered))]
+        _centered[id(seq)] = (seq, result)
+        return result
+    return _center(seq)
+
+
+def _center(seq: Sequence[float]) -> tuple[tuple[float, ...], float] | None:
+    n = len(seq)
+    if n < 2:
+        return None
+    mean = sum(seq) / n
+    centered = tuple([x - mean for x in seq])
+    sxx = 0.0
+    for d in centered:
+        sxx += d * d
+    if sxx == 0.0:
+        return None
+    return centered, math.sqrt(sxx)
+
+
 def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Pearson's correlation coefficient of two equal-length sequences.
 
@@ -345,31 +406,32 @@ def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float:
     Returns 0.0 when either sequence is constant, mirroring the convention
     used for the stock-history predicate: a flat price history correlates
     with nothing.
+
+    Each side is centered by :func:`center_history` (cached for tuples);
+    the covariance then accumulates left to right in an explicit loop.
+    ``sum()`` is avoided on purpose: from Python 3.12 it compensates float
+    sums, which would change the last bits between interpreter versions.
     """
     n = len(xs)
     if n != len(ys):
         raise ConditionError(
             f"correlation needs equal-length sequences, got {n} and {len(ys)}"
         )
-    if n < 2:
+    cx = center_history(xs)
+    cy = center_history(ys)
+    if cx is None or cy is None:
         return 0.0
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    cov = sxx = syy = 0.0
-    for x, y in zip(xs, ys):
-        dx = x - mean_x
-        dy = y - mean_y
+    cov = 0.0
+    for dx, dy in zip(cx[0], cy[0]):
         cov += dx * dy
-        sxx += dx * dx
-        syy += dy * dy
-    if sxx == 0.0 or syy == 0.0:
-        return 0.0
     # sqrt each factor separately: for tiny deviations the product
     # sxx * syy underflows to 0.0 while both factors are nonzero.  Clamp
     # the quotient: with denormal deviations the separate roundings can
     # push it a hair past the mathematical bound of +/-1.
-    value = cov / (math.sqrt(sxx) * math.sqrt(syy))
-    return max(-1.0, min(1.0, value))
+    value = cov / (cx[1] * cy[1])
+    if -1.0 <= value <= 1.0:
+        return value
+    return max(-1.0, min(1.0, value))  # also maps NaN to 1.0, as always
 
 
 @dataclass(frozen=True)
@@ -394,12 +456,31 @@ class CorrelationCondition(Condition):
         return frozenset({self.left, self.right})
 
     def evaluate(self, binding: Binding) -> bool:
-        left_event = kleene_representative(binding[self.left], self.reduce)
-        right_event = kleene_representative(binding[self.right], self.reduce)
-        corr = pearson_correlation(
-            left_event[self.attribute], right_event[self.attribute]
-        )
+        left_event = _representative(binding[self.left], self.reduce)
+        right_event = _representative(binding[self.right], self.reduce)
+        attribute = self.attribute
+        try:
+            xs = left_event[attribute]
+        except KeyError as exc:
+            raise self._error(self.left, "is missing") from exc
+        try:
+            ys = right_event[attribute]
+        except KeyError as exc:
+            raise self._error(self.right, "is missing") from exc
+        try:
+            corr = pearson_correlation(xs, ys)
+        except TypeError as exc:
+            position = self.right if isinstance(xs, (list, tuple)) else self.left
+            raise self._error(
+                position, f"is not a numeric sequence ({exc})"
+            ) from exc
         return corr > self.threshold
+
+    def _error(self, position: str, problem: str) -> ConditionError:
+        return ConditionError(
+            f"attribute {position}.{self.attribute} {problem} while "
+            f"evaluating {self!r}"
+        )
 
     def __repr__(self) -> str:
         return f"(Corr({self.left},{self.right}) > {self.threshold:g})"

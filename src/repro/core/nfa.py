@@ -138,7 +138,10 @@ class Stage:
         """
         probe = dict(partial.binding)
         probe[self.item.name] = event
-        return all(cond.evaluate(probe) for cond in self.conditions)
+        for cond in self.conditions:
+            if not cond.evaluate(probe):
+                return False
+        return True
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,13 @@ conditions over a whole buffer fragment at once instead of pair by pair.
 This module supplies the three pieces it needs:
 
 * **Batched Pearson correlation.**  Histories are centered *once per
-  event* in pure Python — the mean and the sum of squared deviations are
-  computed with exactly the arithmetic of
-  :func:`repro.core.conditions.pearson_correlation`, so the per-row norms
-  are bit-identical to the scalar path.  Each candidate pair then costs a
-  single dot product over the pre-centered rows.  Because only the dot
-  product's summation order differs from the scalar accumulation, the
+  event* by :func:`repro.core.conditions.center_history`, the very
+  function the scalar :func:`~repro.core.conditions.pearson_correlation`
+  centers with, so the per-row deviations and norms are bit-identical to
+  the scalar path's (and, for tuple histories, shared with it through
+  that function's bounded identity cache).  Each candidate pair then
+  costs a single dot product over the pre-centered rows.  Only numpy's
+  dot product may sum in a different order than the scalar loop, so the
   batched coefficient is within ``n * eps`` (≈ 4.5e-15 for 20-deep
   histories) of the scalar one — far inside the 1e-12 contract the
   property suite pins.
@@ -31,8 +32,10 @@ This module supplies the three pieces it needs:
   purges bump the fragment's version and trigger a rebuild.
 
 numpy is used when importable; a hand-rolled fallback keeps the core
-dependency-free.  The fallback's dot product accumulates sequentially, so
-its correlations are *bit-identical* to the scalar oracle; the numpy path
+dependency-free.  The fallback's dot product accumulates sequentially in
+an explicit loop, exactly like the scalar covariance (never ``sum()``,
+which compensates float sums from Python 3.12), so its correlations are
+*bit-identical* to the scalar oracle; the numpy path
 differs only inside the recheck band, which is resolved scalar — either
 way every verdict equals the scalar verdict, and batched runs are
 reproducible across environments.
@@ -45,7 +48,6 @@ the scalar operator table.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, Sequence
 
 from repro.core.conditions import (
@@ -54,6 +56,7 @@ from repro.core.conditions import (
     CorrelationCondition,
     TrueCondition,
     _OPERATORS,
+    center_history,
     pearson_correlation,
 )
 from repro.core.nfa import Stage, last_bound_event
@@ -97,27 +100,6 @@ def have_numpy() -> bool:
 # --------------------------------------------------------------------- #
 # Batched Pearson correlation                                            #
 # --------------------------------------------------------------------- #
-
-
-def center_history(seq: Sequence[float]) -> tuple[list[float], float] | None:
-    """Center *seq* exactly as the scalar Pearson does; ``None`` if the
-    correlation is degenerate (too short or constant → always 0.0).
-
-    The mean (``sum/n``) and the sum of squared deviations accumulate in
-    the same order as :func:`pearson_correlation`, so the returned norm is
-    bit-identical to the scalar ``sqrt(sxx)``.
-    """
-    n = len(seq)
-    if n < 2:
-        return None
-    mean = sum(seq) / n
-    centered = [x - mean for x in seq]
-    sxx = 0.0
-    for d in centered:
-        sxx += d * d
-    if sxx == 0.0:
-        return None
-    return centered, math.sqrt(sxx)
 
 
 def batched_pearson(

@@ -37,6 +37,49 @@ def make_stream(
     return events
 
 
+@pytest.fixture(scope="session")
+def quick_bench():
+    """One real quick ``run_bench`` snapshot and the metrics registry it
+    populated, shared by every test that checks bench or CLI wiring
+    rather than fresh bench content."""
+    from repro.bench import run_bench
+    from repro.obs import MetricsRegistry
+
+    registry = MetricsRegistry()
+    snapshot = run_bench(quick=True, date="2026-01-01", registry=registry)
+    return snapshot, registry
+
+
+@pytest.fixture
+def fake_run_bench(quick_bench, monkeypatch):
+    """Replace the ``run_bench`` the CLI calls with one that returns a
+    copy of the shared quick snapshot; returns the list of call kwargs."""
+    import copy
+
+    from repro.obs.registry import populate_from_summary
+
+    snapshot, _ = quick_bench
+    calls: list[dict] = []
+
+    def run_bench(**kwargs):
+        calls.append(kwargs)
+        fresh = copy.deepcopy(snapshot)
+        tuned = kwargs.get("tuned_parameters")
+        if tuned is not None:
+            fresh["tuned_parameters"] = tuned.as_dict()
+            for name in ("fig7_throughput", "sensors_throughput"):
+                strategies = fresh["scenarios"][name]["strategies"]
+                strategies["hypersonic_tuned"] = dict(strategies["hypersonic"])
+        registry = kwargs.get("registry")
+        if registry is not None:
+            for name in snapshot["scenarios"]["fig7_throughput"]["strategies"]:
+                populate_from_summary(registry, {}, strategy=name)
+        return fresh
+
+    monkeypatch.setattr("repro.bench.regression.run_bench", run_bench)
+    return calls
+
+
 @pytest.fixture
 def stream() -> list[Event]:
     return make_stream()

@@ -14,12 +14,11 @@ from repro.bench import (
     validate_snapshot,
     write_snapshot,
 )
-from repro.obs import MetricsRegistry
 
 
 @pytest.fixture(scope="module")
-def snapshot():
-    return run_bench(quick=True, date="2026-01-01")
+def snapshot(quick_bench):
+    return quick_bench[0]
 
 
 class TestRunBench:
@@ -180,10 +179,8 @@ class TestRunBench:
             snap["scenarios"]["fig8_latency"]["strategies"]
         )
 
-    def test_registry_population(self):
-        registry = MetricsRegistry()
-        run_bench(quick=True, date="2026-01-01", registry=registry)
-        dump = registry.to_json()
+    def test_registry_population(self, quick_bench):
+        dump = quick_bench[1].to_json()
         strategies = {s["labels"]["strategy"]
                       for s in dump["sim_total_time"]["series"]}
         assert "hypersonic" in strategies and "sequential" in strategies
@@ -326,7 +323,8 @@ class TestCliBench:
 
         return main(["bench", "--quick", *args])
 
-    def test_record_then_identical_rerun_passes(self, tmp_path, capsys):
+    def test_record_then_identical_rerun_passes(self, tmp_path, capsys,
+                                                fake_run_bench):
         code = self.run_cli(["--record", "--dir", str(tmp_path)])
         assert code == 0
         out = capsys.readouterr().out
@@ -338,9 +336,10 @@ class TestCliBench:
         assert code == 0
         out = capsys.readouterr().out
         assert "regression check passed" in out
+        assert [call["quick"] for call in fake_run_bench] == [True, True]
 
     def test_regression_fails_unless_warn_only(self, snapshot, tmp_path,
-                                               capsys):
+                                               capsys, fake_run_bench):
         # Seed the trajectory with a doctored "previous" snapshot whose
         # throughputs are double what the deterministic quick bench
         # produces — the fresh run must look like a uniform 50% drop.
@@ -357,8 +356,9 @@ class TestCliBench:
                              "--seed", str(snapshot["seed"])])
         assert code == 0
         assert "REGRESSION" in capsys.readouterr().out
+        assert [call["seed"] for call in fake_run_bench] == [snapshot["seed"]] * 2
 
-    def test_metrics_out(self, tmp_path):
+    def test_metrics_out(self, tmp_path, fake_run_bench):
         metrics = tmp_path / "bench_metrics.prom"
         code = self.run_cli(["--dir", str(tmp_path),
                              "--metrics-out", str(metrics)])

@@ -354,9 +354,14 @@ class TestSloCli:
 
 
 class TestBenchTune:
-    def test_quick_bench_records_tuned_row(self, tmp_path, capsys):
+    def test_quick_bench_records_tuned_row(self, tmp_path, capsys,
+                                           fake_run_bench):
+        # The autotune round is real; the tuned bench run itself is
+        # covered by test_bench_regression's tuned-parameters test.
         code = main(["bench", "--quick", "--tune", "--dir", str(tmp_path)])
         assert code == 0
         out = capsys.readouterr().out
         assert "autotune: mean |rel err|" in out
         assert "hypersonic_tuned" in out
+        [call] = fake_run_bench
+        assert call["tuned_parameters"] is not None

@@ -21,6 +21,7 @@ from repro.core import (
     kleene_representative,
     pearson_correlation,
 )
+from repro.core.conditions import CENTER_CACHE_SIZE, _centered, center_history
 
 A = EventType("A")
 B = EventType("B")
@@ -79,6 +80,14 @@ class TestAttributeCondition:
         cond = AttributeCondition("a", "nope", "<", "b", "v")
         with pytest.raises(ConditionError):
             cond.evaluate({"a": ev(0), "b": ev(1, v=1)})
+        history = (1.0, 2.0, 3.0)
+        corr = CorrelationCondition("a", "b", threshold=0.5)
+        with pytest.raises(ConditionError, match=r"b\.history"):
+            corr.evaluate({"a": ev(0, history=history), "b": ev(1)})
+        with pytest.raises(ConditionError, match=r"a\.history"):
+            corr.evaluate({"a": ev(0, history=2.5), "b": ev(1, history=history)})
+        with pytest.raises(ConditionError, match=r"b\.history"):
+            corr.evaluate({"a": ev(0, history=history), "b": ev(1, history=2.5)})
 
     def test_depends_on_both_positions(self):
         cond = AttributeCondition("a", "v", "<", "b", "v")
@@ -113,6 +122,58 @@ class TestPearsonCorrelation:
     def test_bounded(self):
         value = pearson_correlation([1, 5, 2, 8, 3], [2, 1, 9, 4, 7])
         assert -1.0 <= value <= 1.0
+
+    def test_mutated_list_is_never_served_stale(self):
+        xs = [1.0, 2.0, 3.0, 4.0]
+        ys = [1.0, 2.0, 3.0, 4.0]
+        assert pearson_correlation(xs, ys) == pytest.approx(1.0)
+        ys.reverse()
+        assert pearson_correlation(xs, ys) == pytest.approx(-1.0)
+        xs[:] = [5.0, 5.0, 5.0, 5.0]
+        assert pearson_correlation(xs, ys) == 0.0
+
+    def test_lists_are_not_cached(self):
+        _centered.clear()
+        pearson_correlation([1.0, 2.0, 4.0], [3.0, 1.0, 2.0])
+        assert not _centered
+        pearson_correlation((1.0, 2.0, 4.0), (3.0, 1.0, 2.0))
+        assert len(_centered) == 2
+
+    def test_cache_never_grows_past_its_bound(self):
+        _centered.clear()
+        histories = [
+            (float(i), float(i) + 1.0, float(i) * 3.0)
+            for i in range(CENTER_CACHE_SIZE * 2 + 5)
+        ]
+        for left, right in zip(histories, histories[1:]):
+            pearson_correlation(left, right)
+            assert len(_centered) <= CENTER_CACHE_SIZE
+        assert len(_centered) == CENTER_CACHE_SIZE
+        # FIFO: the newest histories are the ones kept.
+        assert _centered[id(histories[-1])][0] is histories[-1]
+        assert id(histories[0]) not in _centered
+
+    def test_cache_hit_returns_the_first_result(self):
+        history = (3.0, 1.0, 4.0, 1.0, 5.0)
+        assert center_history(history) is center_history(history)
+
+    @pytest.mark.parametrize(
+        "degenerate",
+        [(), (1.0,), (2.5, 2.5, 2.5), (5e-324, 5e-324, 5e-324), (0.0, 0.0)],
+    )
+    def test_degenerate_tuples_are_zero(self, degenerate):
+        other = tuple(float(i) for i in range(len(degenerate)))
+        assert pearson_correlation(degenerate, other) == 0.0
+        assert pearson_correlation(other, degenerate) == 0.0
+        # Second call: served from the cache, same verdict.
+        assert pearson_correlation(degenerate, other) == 0.0
+
+    def test_denormal_deviations_are_zero(self):
+        # Deviations of 5e-324 square to 0.0, so the sum of squares is
+        # 0.0 although the history is not constant.
+        tiny = (0.0, 5e-324, 0.0, 5e-324)
+        assert center_history(tiny) is None
+        assert pearson_correlation(tiny, (1.0, 2.0, 3.0, 4.0)) == 0.0
 
 
 class TestCorrelationCondition:

@@ -56,6 +56,25 @@ class TestPartialMatch:
         pm = PartialMatch.of("p1", ev(1.0))
         assert pm.fits_with(ev(4.0), window=3.0)
         assert not pm.fits_with(ev(4.5), window=3.0)
+        # A two-event span [2.0, 5.0] under window 4.0: events before,
+        # inside and after it, and the exact boundaries earliest + W and
+        # latest - W, agree with the max/min definition.
+        span = PartialMatch.of("p1", ev(2.0)).extended("p2", ev(5.0))
+        window = 4.0
+        cases = {
+            0.5: False,   # before, too early
+            1.0: True,    # == latest - W
+            1.5: True,    # before, inside the window
+            3.0: True,    # inside the span
+            6.0: True,    # == earliest + W
+            6.5: False,   # after, too late
+        }
+        for t, expected in cases.items():
+            reference = (
+                max(span.latest, t) - min(span.earliest, t) <= window
+            )
+            assert reference is expected, t
+            assert span.fits_with(ev(t), window) is expected, t
 
     def test_repr_includes_ids(self):
         event = ev(1.0)

@@ -212,6 +212,35 @@ def test_pearson_bounded_and_symmetric(xs, ys):
     assert -1.0 - 1e-9 <= value <= 1.0 + 1e-9
     assert pearson_correlation(ys, xs) == value
     assert not math.isnan(value)
+    # Bit-exact against the two-pass reference, for lists and for tuples
+    # (which the centering cache serves on the repeated call).
+    expected = _reference_pearson(xs, ys)
+    assert value == expected
+    tx, ty = tuple(xs), tuple(ys)
+    assert pearson_correlation(tx, ty) == expected
+    assert pearson_correlation(tx, ty) == expected
+    assert pearson_correlation(ty, tx) == _reference_pearson(ys, xs)
+
+
+def _reference_pearson(xs, ys):
+    """The textbook two-pass Pearson with the library's conventions
+    (0.0 when degenerate, quotient clamped to [-1, 1])."""
+    n = len(xs)
+    if n < 2:
+        return 0.0
+    mean_x = sum(xs) / n
+    mean_y = sum(ys) / n
+    cov = sxx = syy = 0.0
+    for x, y in zip(xs, ys):
+        dx = x - mean_x
+        dy = y - mean_y
+        cov += dx * dy
+        sxx += dx * dx
+        syy += dy * dy
+    if sxx == 0.0 or syy == 0.0:
+        return 0.0
+    value = cov / (math.sqrt(sxx) * math.sqrt(syy))
+    return max(-1.0, min(1.0, value))
 
 
 @settings(max_examples=60, deadline=None)
