@@ -7,9 +7,9 @@ query style: "the resident started cooking and then settled in to relax,
 moving away from the kitchen, WITHOUT a washing activity in between" —
 a sequence with an internal negation (Table 2's Q_B3 shape).
 
-The detection runs three ways — sequential baseline, the hybrid engine's
-deterministic driver, and the multiprocessing pipeline runtime — and
-checks all three agree.
+The detection runs three ways — sequential baseline, the hybrid engine
+(driven by the virtual-time simulator), and the multiprocessing pipeline
+runtime — and checks all three agree.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def main() -> None:
 
     hybrid = HypersonicEngine(spec.pattern, num_units=4).run(events)
     assert_equivalent(reference, hybrid, "hybrid")
-    print("hybrid engine: identical match set (deterministic driver)")
+    print("hybrid engine: identical match set (virtual-time simulator)")
 
     started = time.perf_counter()
     pipelined = ProcsPipelineEngine(spec.pattern, procs=2).run(events)

@@ -1,7 +1,7 @@
 """Baseline CEP parallelization strategies the paper compares against."""
 
 from repro.baselines.llsf import JSQEngine, LLSFEngine, RREngine, WindowSegmentEngine
-from repro.baselines.partitioned import Partition, PartitionedEngine, PartitionMetrics
+from repro.baselines.partitioned import PartitionedEngine, PartitionMetrics, PartitionSpan
 from repro.baselines.rip import RIPEngine
 from repro.baselines.state_parallel import StateParallelEngine
 
@@ -10,9 +10,9 @@ __all__ = [
     "LLSFEngine",
     "RREngine",
     "WindowSegmentEngine",
-    "Partition",
     "PartitionedEngine",
     "PartitionMetrics",
+    "PartitionSpan",
     "RIPEngine",
     "StateParallelEngine",
 ]

@@ -23,13 +23,11 @@ units:
 
 from __future__ import annotations
 
-import math
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from repro.core.events import Event
 from repro.core.patterns import Pattern
 from repro.core.streams import Lookahead
-from repro.baselines.partitioned import Partition, PartitionSpan, PartitionedEngine
+from repro.baselines.partitioned import PartitionSpan, PartitionedEngine
 
 __all__ = ["WindowSegmentEngine", "RREngine", "JSQEngine", "LLSFEngine"]
 
@@ -37,46 +35,15 @@ __all__ = ["WindowSegmentEngine", "RREngine", "JSQEngine", "LLSFEngine"]
 class WindowSegmentEngine(PartitionedEngine):
     """Common segmentation; subclasses choose the assignment policy."""
 
-    def partitions(self, events: Sequence[Event]) -> Iterator[Partition]:
-        if not events:
-            return
-        window = self.pattern.window
-        origin = events[0].timestamp
-        span = events[-1].timestamp - origin
-        num_segments = max(1, int(math.floor(span / window)) + 1)
-        # Single pass building per-segment slices: segment k covers
-        # [origin + kW, origin + (k+1)W) and reads up to origin + (k+2)W.
-        starts: list[int] = [len(events)] * (num_segments + 2)
-        for position, event in enumerate(events):
-            segment = min(int((event.timestamp - origin) / window),
-                          num_segments - 1)
-            if position < starts[segment]:
-                starts[segment] = position
-        # Fill gaps (empty segments) so slice boundaries are monotone.
-        for segment in range(len(starts) - 2, -1, -1):
-            starts[segment] = min(starts[segment], starts[segment + 1])
-        for segment in range(num_segments):
-            begin = starts[segment]
-            end = starts[segment + 2] if segment + 2 < len(starts) else len(events)
-            if begin >= end:
-                continue
-            yield Partition(
-                index=segment,
-                events=tuple(events[begin:end]),
-                own_start=origin + segment * window,
-                own_end=origin + (segment + 1) * window,
-                own_start_id=-1,
-                own_end_id=-1,
-            )
-
     def spans(self, stream: Lookahead) -> Iterator[PartitionSpan]:
-        """Streaming equivalent of :meth:`partitions`.
+        """Segment ``k`` covers ``[origin + kW, origin + (k+1)W)`` and
+        reads up to ``origin + (k+2)W``.
 
         Segment ``k``'s span ends where segment ``k + 2`` begins, so a
         span is final as soon as the first event two segments ahead is
         seen — a lookahead of at most two windows of events.  Empty
-        segments inherit the next segment's start (the gap-filling of the
-        batch path) and are skipped when that leaves them without events.
+        segments inherit the next segment's start and are skipped when
+        that leaves them without events.
         """
         first = stream.get(0)
         if first is None:

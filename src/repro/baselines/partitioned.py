@@ -16,16 +16,16 @@ Concrete strategies provide:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-from repro.core.events import Event
+from repro.core.events import Event, validate_stream_order
 from repro.core.matches import Match
 from repro.core.patterns import Pattern
 from repro.core.policies import resolve_matches
 from repro.core.streams import Lookahead
 from repro.engine.sequential import SequentialEngine
 
-__all__ = ["Partition", "PartitionSpan", "PartitionMetrics", "PartitionedEngine"]
+__all__ = ["PartitionSpan", "PartitionMetrics", "PartitionedEngine"]
 
 
 def _owns_key(match: Match) -> tuple[float, int]:
@@ -36,46 +36,18 @@ def _owns_key(match: Match) -> tuple[float, int]:
 
 
 @dataclass(frozen=True)
-class Partition:
-    """One unit of data-parallel work.
-
-    ``events`` is the partition's full (overlapping) substream; ``owns``
-    decides whether a match's earliest event belongs to this partition.
-    """
-
-    index: int
-    events: tuple[Event, ...]
-    own_start: float          # ownership range in (timestamp, event_id) space
-    own_end: float
-    own_start_id: int = -1
-    own_end_id: int = 1 << 62
-
-    @property
-    def size(self) -> int:
-        """Number of input events — the queue-length proxy JSQ balances on."""
-        return len(self.events)
-
-    def owns(self, match: Match) -> bool:
-        key = _owns_key(match)
-        return (self.own_start, self.own_start_id) <= key < (
-            self.own_end,
-            self.own_end_id,
-        )
-
-
-@dataclass(frozen=True)
 class PartitionSpan:
-    """A partition described by stream *positions* instead of materialized
-    event tuples — the streaming-simulation counterpart of
-    :class:`Partition`.
+    """One unit of data-parallel work, described by stream *positions*.
 
     ``begin`` is the stream position of the partition's first input event;
     ``end`` is the exclusive position past its last (``None`` meaning the
     partition runs to the end of the stream); ``size`` is its input-event
-    count (``end - begin`` when bounded).  Ownership semantics are exactly
-    those of :class:`Partition.owns`.  Spans are produced in ``begin``
-    order by :meth:`PartitionedEngine.spans` with bounded lookahead, so the
-    simulator never needs the whole stream in memory.
+    count (``end - begin`` when bounded) — the queue-length proxy JSQ
+    balances on.  :meth:`owns` decides whether a match's earliest event
+    belongs to this partition, in ``(timestamp, event_id)`` space.  Spans
+    are produced in ``begin`` order by :meth:`PartitionedEngine.spans` with
+    bounded lookahead, so the simulator never needs the whole stream in
+    memory.
     """
 
     index: int
@@ -126,8 +98,10 @@ class PartitionMetrics:
 class PartitionedEngine:
     """Run one sequential matcher per partition and merge the results.
 
-    Subclasses implement :meth:`partitions` (how the stream splits) and
-    :meth:`assign_unit` (which unit runs each partition).
+    Subclasses implement :meth:`spans` (how the stream splits) and
+    :meth:`assign_unit` (which unit runs each partition).  The same two
+    hooks drive the partition simulator
+    (:func:`repro.simulator.partition_sim.simulate_partitioned`).
     """
 
     def __init__(self, pattern: Pattern, num_units: int) -> None:
@@ -139,55 +113,22 @@ class PartitionedEngine:
 
     # -- strategy hooks -------------------------------------------------- #
 
-    def partitions(self, events: Sequence[Event]) -> Iterable[Partition]:
-        raise NotImplementedError
-
-    def assign_unit(self, partition: "Partition | PartitionSpan",
-                    unit_loads: list[float]) -> int:
-        raise NotImplementedError
-
     def spans(self, stream: Lookahead) -> Iterator[PartitionSpan]:
         """Yield :class:`PartitionSpan`\\ s in ``begin`` order from a
-        single-pass stream.
+        single-pass stream, peeking ahead only as far as a span's end
+        (a chunk plus a window for RIP, two windows for the
+        window-segment family), so the partition simulator's memory stays
+        bounded by the window rather than the stream length."""
+        raise NotImplementedError
 
-        The base implementation drains *stream* and delegates to
-        :meth:`partitions` — correct for any subclass, but it materializes
-        the whole stream.  The built-in strategies override this with
-        bounded-lookahead generators (a chunk plus a window for RIP, two
-        windows for the window-segment family), which is what keeps the
-        partition simulator's memory bounded by the window rather than the
-        stream length.
-        """
-        events: list[Event] = []
-        position = 0
-        while True:
-            event = stream.get(position)
-            if event is None:
-                break
-            events.append(event)
-            position += 1
-        index_of = {event.event_id: i for i, event in enumerate(events)}
-        parts = sorted(
-            self.partitions(events),
-            key=lambda p: index_of[p.events[0].event_id],
-        )
-        for partition in parts:
-            begin = index_of[partition.events[0].event_id]
-            yield PartitionSpan(
-                index=partition.index,
-                begin=begin,
-                end=begin + len(partition.events),
-                size=len(partition.events),
-                own_start=partition.own_start,
-                own_end=partition.own_end,
-                own_start_id=partition.own_start_id,
-                own_end_id=partition.own_end_id,
-            )
+    def assign_unit(self, partition: PartitionSpan,
+                    unit_loads: list[float]) -> int:
+        raise NotImplementedError
 
     # -- execution -------------------------------------------------------- #
 
     def run(self, events: Iterable[Event]) -> list[Match]:
-        event_list = list(events)
+        event_list = list(validate_stream_order(events))
         self.metrics.events_ingested = len(event_list)
         self.metrics.per_unit_comparisons = [0] * self.num_units
         self.metrics.per_unit_events = [0] * self.num_units
@@ -196,29 +137,30 @@ class PartitionedEngine:
 
         results: list[Match] = []
         total_inputs = 0
-        for partition in self.partitions(event_list):
+        for span in self.spans(Lookahead(event_list)):
             self.metrics.partitions += 1
-            unit = self.assign_unit(partition, unit_loads)
+            unit = self.assign_unit(span, unit_loads)
             engine = SequentialEngine(self.pattern)
+            inputs = event_list[span.begin:span.end]
             matches = []
-            for event in partition.events:
+            for event in inputs:
                 matches.extend(engine.process(event))
             matches.extend(engine.close())
-            total_inputs += len(partition.events)
+            total_inputs += len(inputs)
             self.metrics.matches_before_dedup += len(matches)
             self.metrics.comparisons += engine.stats.comparisons
             self.metrics.per_unit_comparisons[unit] += engine.stats.comparisons
-            self.metrics.per_unit_events[unit] += len(partition.events)
-            unit_loads[unit] += engine.stats.comparisons + len(partition.events)
+            self.metrics.per_unit_events[unit] += len(inputs)
+            unit_loads[unit] += engine.stats.comparisons + len(inputs)
             peak = (
                 engine.stats.peak_partial_matches
                 + engine.stats.peak_buffered_events
-                + len(partition.events)
+                + len(inputs)
             )
             if peak > unit_peaks[unit]:
                 unit_peaks[unit] = peak
             for match in matches:
-                if partition.owns(match):
+                if span.owns(match):
                     results.append(match)
         self.metrics.events_replicated = total_inputs - len(event_list)
         results = resolve_matches(self.pattern, results)

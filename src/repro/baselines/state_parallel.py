@@ -47,9 +47,5 @@ class StateParallelEngine:
             pattern, num_units=self.num_agents, config=config, stats=stats
         )
 
-    @property
-    def metrics(self):
-        return self._engine.metrics
-
     def run(self, events: Iterable[Event]) -> list[Match]:
         return self._engine.run(events)

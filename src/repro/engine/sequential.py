@@ -3,7 +3,7 @@
 Evaluates one pattern over an in-order event stream on a single logical
 execution unit, maintaining per-stage pools of partial matches exactly as
 the chain NFA of Section 2.2 prescribes.  This engine is the ground truth:
-every parallel strategy's functional executor must emit the same match set
+every parallel strategy must emit the same match set
 (the validation the authors perform in Section 5.1).
 
 Besides SEQ chain patterns it also evaluates flat AND and OR patterns, which
@@ -118,20 +118,6 @@ class SequentialEngine:
         if self.pattern.operator is Operator.AND:
             return self._process_and(event)
         return self._process_or(event)
-
-    def process_batch(self, events: Iterable[Event]) -> list[Match]:
-        """Feed a micro-batch of events; return all matches completed.
-
-        The batched counterpart of :meth:`process` used by the batched
-        execution mode (``batch_size`` > 1).  Events are evaluated in
-        order, one at a time — the sequential engine is the differential
-        oracle for every batched strategy, so its semantics must remain
-        exactly those of consecutive :meth:`process` calls.
-        """
-        matches: list[Match] = []
-        for event in events:
-            matches.extend(self.process(event))
-        return matches
 
     def close(self) -> list[Match]:
         """Signal end of stream; release matches held back by trailing

@@ -4,7 +4,6 @@ from repro.hypersonic.agent import AgentCore
 from repro.hypersonic.allocation import AllocationPlan, allocate_units
 from repro.hypersonic.buffers import AgentGlobalBuffer, BufferSnapshot, FragmentedBuffer
 from repro.hypersonic.engine import (
-    FunctionalMetrics,
     HypersonicConfig,
     HypersonicEngine,
     detect_hybrid,
@@ -21,7 +20,6 @@ __all__ = [
     "AgentGlobalBuffer",
     "BufferSnapshot",
     "FragmentedBuffer",
-    "FunctionalMetrics",
     "HypersonicConfig",
     "HypersonicEngine",
     "detect_hybrid",

@@ -1,13 +1,13 @@
-"""The HYPERSONIC engine: planning, wiring, and the deterministic driver.
+"""The HYPERSONIC engine: planning and wiring of the agent chain.
 
 :class:`HypersonicEngine` assembles the full two-tier system for one SEQ
 pattern — splitter, agent chain (with optional fusion), execution units
-with their role assignments — and drives it *functionally*: a cooperative
-scheduler interleaves the units deterministically and the engine returns
-the exact match set, which the tests compare against the sequential
-baseline.  Performance evaluation runs the very same components under the
-discrete-event simulator (:mod:`repro.simulator`), which replaces this
-module's zero-cost scheduler with a virtual clock.
+with their role assignments.  It has no driver of its own: :meth:`run`
+hands the wired engine to the discrete-event simulator
+(:mod:`repro.simulator.hypersonic_sim`), which interleaves the units on a
+virtual clock and returns the exact match set that the tests compare
+against the sequential baseline.  The same simulator, with caller-chosen
+costs and knobs, produces the performance figures.
 
 Restrictions (matching the paper's system): SEQ patterns only, at least
 two event types, no Kleene closure on the first type (the first agent
@@ -17,28 +17,25 @@ represents the first two NFA states and cannot host a self-loop).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.core.errors import AllocationError, PatternError
-from repro.core.events import Event, validate_stream_order
-from repro.core.streams import as_source
+from repro.core.events import Event
 from repro.core.matches import Match
 from repro.core.nfa import ChainNFA, compile_pattern
 from repro.core.patterns import Operator, Pattern
-from repro.core.policies import resolve_matches
 from repro.control.planning import plan_build
 from repro.costmodel.model import CostParameters, WorkloadStatistics
 from repro.costmodel.statistics import estimate_statistics
 from repro.hypersonic.allocation import AllocationPlan
-from repro.hypersonic.buffers import BufferSnapshot
 from repro.hypersonic.fusion import FusionPlan, build_agent
-from repro.hypersonic.items import ItemKind, Receipt, WorkItem
+from repro.hypersonic.items import ItemKind
 from repro.hypersonic.splitter import RouteTarget, Splitter
 from repro.hypersonic.workers import ExecutionUnit, WorkerPolicy, assign_roles
 from repro.obs.tracer import NULL_TRACER, Tracer
 
-__all__ = ["HypersonicConfig", "FunctionalMetrics", "HypersonicEngine"]
+__all__ = ["HypersonicConfig", "HypersonicEngine"]
 
 
 @dataclass(frozen=True)
@@ -60,24 +57,6 @@ class HypersonicConfig:
     seed: int = 7
     purge_slack: float | None = None
     sample_size: int = 2000
-    max_inflight: int = 4096
-    snapshot_interval: int = 64
-
-
-@dataclass
-class FunctionalMetrics:
-    """Counters collected by the deterministic driver."""
-
-    events_ingested: int = 0
-    items_processed: int = 0
-    comparisons: int = 0
-    fragment_locks: int = 0
-    queue_pushes: int = 0
-    matches_emitted: int = 0
-    peak_memory_bytes: int = 0
-    peak_buffered_items: int = 0
-    unit_hops: int = 0
-    per_agent_items: list[int] = field(default_factory=list)
 
 
 class HypersonicEngine:
@@ -112,7 +91,6 @@ class HypersonicEngine:
         self.costs = costs if costs is not None else CostParameters()
         self.stats = stats
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = FunctionalMetrics()
 
         self._rng = random.Random(self.config.seed)
         self.splitter: Splitter | None = None
@@ -121,7 +99,6 @@ class HypersonicEngine:
         self.policy: WorkerPolicy | None = None
         self.fusion_plan: FusionPlan | None = None
         self.allocation_plan: AllocationPlan | None = None
-        self._matches: list[Match] = []
         self._built = False
 
     # ------------------------------------------------------------------ #
@@ -214,7 +191,7 @@ class HypersonicEngine:
                 splitter.add_route(type_name, RouteTarget(queue=queue, kind=kind))
 
     # ------------------------------------------------------------------ #
-    # Deterministic functional driver                                     #
+    # Execution                                                           #
     # ------------------------------------------------------------------ #
 
     def run(self, events: Iterable[Event]) -> list[Match]:
@@ -224,133 +201,25 @@ class HypersonicEngine:
         :class:`~repro.core.streams.WorkloadSource`; the stream is consumed
         in a single pass (statistics estimation buffers only the
         ``sample_size`` prefix).  May be called once per engine instance.
+
+        The engine is driven by the discrete-event simulator
+        (:class:`~repro.simulator.hypersonic_sim.HypersonicSimulation`) at
+        this engine's own cost constants, so matches come back
+        policy-resolved in simulated completion order.  Raises
+        :class:`~repro.core.errors.StreamError` on an out-of-order stream
+        and :class:`~repro.core.errors.AllocationError` naming the stuck
+        agents if work remains in flight at the end of the stream.
         """
         if self._built:
             raise AllocationError("run() may only be called once per engine")
-        source = as_source(events)
-        self.ensure_statistics(source.prefix(self.config.sample_size))
-        self.build()
-        splitter = self.splitter
-        policy = self.policy
-        assert splitter is not None and policy is not None
+        # Imported here: the simulator module imports this one.
+        from repro.simulator.hypersonic_sim import HypersonicSimulation
 
-        iterator = iter(validate_stream_order(source))
-        exhausted = False
-        while not exhausted:
-            event = next(iterator, None)
-            if event is None:
-                exhausted = True
-                break
-            receipt = splitter.route(event)
-            self.metrics.events_ingested += 1
-            self.metrics.comparisons += receipt.comparisons
-            self.metrics.queue_pushes += receipt.pushes
-            self._work_rounds()
-
-        splitter.seal()
-        self._drain()
-        self._flush_agents()
-        self._drain()
-        if self._total_depth() > 0:
-            stuck = [
-                repr(agent) for agent in self.agents if agent.queue_depth()
-            ]
-            raise AllocationError(
-                f"pipeline stalled with items in flight at: {stuck}; "
-                "check role assignments cover both streams of every agent"
-            )
-        self._matches = resolve_matches(self.pattern, self._matches)
-        self.metrics.matches_emitted = len(self._matches)
-        self.metrics.unit_hops = sum(unit.hops for unit in self.units)
-        self.metrics.per_agent_items = [
-            agent.items_processed for agent in self.agents
-        ]
-        return self._matches
-
-    def _work_rounds(self) -> None:
-        """Let units work until in-flight items drop below the cap."""
-        steps = self._step_all_units()
-        while self._total_depth() > self.config.max_inflight and steps:
-            steps = self._step_all_units()
-
-    def _drain(self) -> None:
-        while True:
-            steps = self._step_all_units()
-            if steps == 0:
-                # Idle maintenance: release quarantines that became safe.
-                released = 0
-                for agent in self.agents:
-                    receipt = agent.maintenance()
-                    if receipt.pushes:
-                        released += receipt.pushes
-                        self._route_receipt(agent, receipt)
-                if released == 0:
-                    break
-
-    def _flush_agents(self) -> None:
-        for agent in self.agents:
-            receipt = agent.flush()
-            if receipt.pushes:
-                self._route_receipt(agent, receipt)
-
-    def _step_all_units(self) -> int:
-        policy = self.policy
-        assert policy is not None
-        steps = 0
-        for unit in self.units:
-            selection = policy.select(unit)
-            if selection is None:
-                continue
-            agent = self.agents[selection.agent_index]
-            receipt = agent.process(selection.item, unit.unit_id)
-            unit.items_processed += 1
-            steps += 1
-            self._account(receipt)
-            self._route_receipt(agent, receipt)
-        self.metrics.items_processed += steps
-        if steps and self.metrics.items_processed % self.config.snapshot_interval < steps:
-            self._snapshot_memory()
-        return steps
-
-    def _account(self, receipt: Receipt) -> None:
-        self.metrics.comparisons += receipt.comparisons
-        self.metrics.fragment_locks += receipt.fragments_locked
-        self.metrics.queue_pushes += receipt.pushes
-
-    def _route_receipt(self, agent, receipt: Receipt) -> None:
-        position = agent.agent_index
-        for partial in receipt.emitted_self:
-            agent.ms.push(WorkItem(ItemKind.MATCH, partial))
-        if position + 1 < len(self.agents):
-            downstream = self.agents[position + 1]
-            for partial in receipt.emitted_down:
-                downstream.ms.push(WorkItem(ItemKind.MATCH, partial))
-        else:
-            splitter = self.splitter
-            assert splitter is not None
-            for partial in receipt.emitted_down:
-                detected = (
-                    splitter.watermark
-                    if splitter.watermark < float("inf")
-                    else max(partial.latest, partial.earliest + self.nfa.window)
-                )
-                self._matches.append(
-                    Match.from_partial(partial, detected_at=detected)
-                )
-
-    def _total_depth(self) -> int:
-        return sum(agent.queue_depth() for agent in self.agents)
-
-    def _snapshot_memory(self) -> None:
-        snapshot = BufferSnapshot.merge(
-            [agent.snapshot() for agent in self.agents]
+        simulation = HypersonicSimulation(
+            self.pattern, self.num_units, costs=self.costs, _engine=self
         )
-        total = snapshot.total_bytes(self.costs.pointer_size)
-        if total > self.metrics.peak_memory_bytes:
-            self.metrics.peak_memory_bytes = total
-        items = snapshot.eb_items + snapshot.mb_items + self._total_depth()
-        if items > self.metrics.peak_buffered_items:
-            self.metrics.peak_buffered_items = items
+        simulation.run(events)
+        return simulation.matches
 
 
 def _enforce_two_per_agent(per_agent: list[int], total_units: int) -> list[int]:

@@ -6,7 +6,7 @@ and guard events (negated-type events routed to the agent that enforces a
 negation guard).
 
 Queues are FIFO producer-consumer channels.  Each enqueued entry carries a
-``ready_at`` virtual timestamp: the deterministic driver ignores it, while
+``ready_at`` virtual timestamp: the procs runtime ignores it, while
 the discrete-event simulator uses it to model transfer delay — an item is
 only visible to consumers once the simulated clock passes ``ready_at``.
 """

@@ -1,9 +1,11 @@
 """Discrete-event simulation of the HYPERSONIC agent chain.
 
-Runs the *same* functional components as the deterministic driver —
-splitter, agents, worker policy — under a virtual clock.  Every processed
-work item advances its unit's clock by the modelled cost of the actions the
-item's :class:`~repro.hypersonic.items.Receipt` records:
+Drives the agent chain that :class:`~repro.hypersonic.engine.HypersonicEngine`
+plans and wires — splitter, agents, worker policy — under a virtual clock;
+``HypersonicEngine.run`` is this simulation at the engine's own cost
+constants.  Every processed work item advances its unit's clock by the
+modelled cost of the actions the item's
+:class:`~repro.hypersonic.items.Receipt` records:
 
     locks * b  +  comparisons * c  +  scan(touch, fragments)  +  pushes * q
 
@@ -18,7 +20,9 @@ as the number of in-flight items falls below ``inflight_cap``, modelling a
 saturated source with bounded channel capacity.  Event *arrival time* is
 its injection time; a match's detection latency is its completion time
 minus the arrival time of its latest constituent event (the paper's
-definition, Section 5.1).
+definition, Section 5.1).  ``Match.detected_at`` stays in *stream* time
+(the splitter watermark when the match completes), so ``Match.latency``
+is the event-time lag the sequential engine reports too.
 
 The discrete-event machinery itself — heap, clock, unit pool, injection
 policy, latency reservoir, window payload accounting, result assembly —
@@ -35,7 +39,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.control import ControlPlane, LoadShedder, ReplanDecision
-from repro.core.events import Event
+from repro.core.errors import AllocationError
+from repro.core.events import Event, validate_stream_order
 from repro.core.matches import Match
 from repro.core.patterns import Pattern
 from repro.core.policies import resolve_matches
@@ -97,6 +102,7 @@ class HypersonicSimulation:
         shed_bound: int = 0,
         shed_policy: str | None = None,
         slos: Iterable[SloSpec] | None = None,
+        _engine: HypersonicEngine | None = None,
     ) -> None:
         # ``costs`` drives the virtual clock — the simulated deployment's
         # actual per-action costs.  ``model_costs`` is the *planner's*
@@ -104,8 +110,10 @@ class HypersonicSimulation:
         # the world costs, but calibration auto-tuning
         # (repro.costmodel.fitting.autotune) runs the two separately: the
         # world stays fixed while the planner's model is re-fitted to the
-        # observed trace.
-        self.engine = HypersonicEngine(
+        # observed trace.  ``_engine`` is how HypersonicEngine.run drives
+        # itself: the simulation then adopts that engine (and its planner
+        # settings) instead of building one from the arguments.
+        self.engine = _engine if _engine is not None else HypersonicEngine(
             pattern, num_units, config=config, stats=stats,
             costs=model_costs if model_costs is not None else costs,
             tracer=tracer,
@@ -196,7 +204,7 @@ class HypersonicSimulation:
                 self._control.note_plan(plan["per_agent"], [])
             kernel.epoch_hook = self._control_epoch
         kernel.init_units(len(engine.units))
-        self._stream = iter(source)
+        self._stream = validate_stream_order(source)
 
         kernel.schedule(0.0, _INJECT, 0)
         while True:
@@ -215,6 +223,12 @@ class HypersonicSimulation:
                     continue
             break
 
+        stuck = [repr(agent) for agent in engine.agents if agent.queue_depth()]
+        if stuck:
+            raise AllocationError(
+                f"pipeline stalled with items in flight at: {stuck}; "
+                "check role assignments cover both streams of every agent"
+            )
         total_time = kernel.total_time()
         # Terminal policy resolution (identity for default patterns): the
         # simulated chain enumerates the skip-till-any set; the pattern's
@@ -548,8 +562,18 @@ class HypersonicSimulation:
                 downstream.ms.push(WorkItem(ItemKind.MATCH, partial), ready_at=done)
                 kernel.in_flight += 1
         else:
+            watermark = engine.splitter.watermark
+            window = engine.nfa.window
             for partial in receipt.emitted_down:
-                self._matches.append(Match.from_partial(partial, detected_at=done))
+                # Stream-time detection: the watermark, or once the
+                # splitter is sealed, the window close of the match.
+                detected = (
+                    watermark if watermark < float("inf")
+                    else max(partial.latest, partial.earliest + window)
+                )
+                self._matches.append(
+                    Match.from_partial(partial, detected_at=detected)
+                )
                 latest_id = max(
                     partial.events(), key=lambda e: (e.timestamp, e.event_id)
                 ).event_id

@@ -12,9 +12,9 @@ The loop is event-major so that all partitions overlapping an event are
 active simultaneously and the sampled memory reflects true concurrent
 duplication (the whole point of Figure 9's comparison).
 
-Correctness is preserved exactly as in the functional engines: matches are
-deduplicated by the ownership rule and the simulated run returns the full
-match set.
+Correctness is preserved exactly as in ``PartitionedEngine.run``, which
+walks the same spans: matches are deduplicated by the ownership rule and
+the simulated run returns the full match set.
 
 The discrete-event machinery (unit accounting, backpressure, latency
 reservoir, window payload tracking, result assembly) is the shared
@@ -31,14 +31,14 @@ bounded by the window rather than the stream length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from repro.core.events import Event
+from repro.core.events import Event, validate_stream_order
 from repro.core.matches import Match
 from repro.core.patterns import Pattern
 from repro.core.policies import resolve_matches
 from repro.costmodel.model import CostParameters
-from repro.baselines.partitioned import Partition, PartitionSpan, PartitionedEngine
+from repro.baselines.partitioned import PartitionSpan, PartitionedEngine
 from repro.engine.sequential import SequentialEngine
 from repro.obs.tracer import Tracer
 from repro.simulator.cache import CacheModel
@@ -56,18 +56,6 @@ class SequentialSimEngine(PartitionedEngine):
 
     def __init__(self, pattern: Pattern) -> None:
         super().__init__(pattern, num_units=1)
-
-    def partitions(self, events: Sequence[Event]):
-        if not events:
-            return
-        yield Partition(
-            index=0,
-            events=tuple(events),
-            own_start=float("-inf"),
-            own_end=float("inf"),
-            own_start_id=-1,
-            own_end_id=1 << 62,
-        )
 
     def spans(self, stream: Lookahead):
         if stream.get(0) is None:
@@ -132,7 +120,7 @@ def simulate_partitioned(
     num_units = engine.num_units
     unit_loads = [0.0] * num_units
 
-    stream = Lookahead(as_source(events))
+    stream = Lookahead(validate_stream_order(as_source(events)))
     span_iter = engine.spans(stream)
     pending_span = next(span_iter, None)
 

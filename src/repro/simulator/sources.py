@@ -1,7 +1,7 @@
 """Workload sources for the simulators (public façade).
 
 The implementation lives in :mod:`repro.core.streams` so the lowest layer
-of the library (datasets, baselines, the functional engines) can use the
+of the library (datasets, baselines, the sequential engine) can use the
 same protocol without importing the simulator package; this module is the
 simulator-facing name for it.  See :class:`WorkloadSource` for the
 single-pass / ``prefix(n)`` contract and :func:`as_source` for coercion.

@@ -4,6 +4,7 @@ import pytest
 
 from tests.conftest import make_stream, reference_matches
 from repro.core import Pattern
+from repro.core.streams import Lookahead
 from repro.engine import assert_equivalent
 from repro.baselines import (
     JSQEngine,
@@ -47,7 +48,7 @@ class TestRIPStructure:
         pattern = Pattern.sequence(["A", "B"], window=4.0)
         events = make_stream(num_events=300, seed=23)
         engine = RIPEngine(pattern, num_units=3, chunk_size=50)
-        partitions = list(engine.partitions(events))
+        partitions = list(engine.spans(Lookahead(events)))
         assert sum(
             1 for p in partitions
         ) == (len(events) + 49) // 50

@@ -22,8 +22,9 @@ from repro.baselines import (
     StateParallelEngine,
 )
 from repro.core import Pattern
+from repro.core.errors import StreamError
 from repro.costmodel import CostParameters, fit_from_trace
-from repro.hypersonic.engine import HypersonicConfig
+from repro.hypersonic.engine import HypersonicConfig, detect_hybrid
 from repro.obs import TraceRecorder
 from repro.simulator import STRATEGIES, simulate
 from repro.simulator.hypersonic_sim import HypersonicSimulation
@@ -96,6 +97,41 @@ def test_hypersonic_simulation_matches_sequential(pattern, seed, tuned):
     )
     sim.run(events)
     assert {match.key for match in sim.matches} == expected
+
+
+@pytest.mark.parametrize("pattern,seed", WORKLOADS)
+def test_hybrid_detection_time_is_stream_time(pattern, seed):
+    """``detect_hybrid`` stamps matches in stream time, not virtual time:
+    detection never precedes the match's latest event nor follows the
+    later of the stream end and the match's window close."""
+    events = workload(seed)
+    last = events[-1].timestamp
+    matches = detect_hybrid(pattern, events, num_units=NUM_UNITS)
+    assert matches
+    for match in matches:
+        assert match.latest <= match.detected_at
+        assert match.detected_at <= max(last, match.earliest + pattern.window)
+
+
+PARTITION_ENGINE_NAMES = ["RIPEngine", "RREngine", "JSQEngine", "LLSFEngine"]
+
+
+@pytest.mark.parametrize("runner", [*STRATEGIES, *PARTITION_ENGINE_NAMES])
+def test_out_of_order_stream_is_rejected(runner):
+    """One swapped pair of events raises StreamError on every simulated
+    strategy and every partition engine's ``run``."""
+    pattern, seed = WORKLOADS[0]
+    events = workload(seed)
+    middle = len(events) // 2
+    events[middle], events[middle + 1] = events[middle + 1], events[middle]
+    with pytest.raises(StreamError):
+        if runner in STRATEGIES:
+            simulate(runner, pattern, events, num_cores=NUM_UNITS, seed=7)
+        else:
+            engine = partition_engines(pattern)[
+                PARTITION_ENGINE_NAMES.index(runner)
+            ]
+            engine.run(events)
 
 
 @pytest.mark.parametrize("pattern,seed", WORKLOADS)

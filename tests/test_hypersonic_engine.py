@@ -15,6 +15,8 @@ from repro.core.errors import AllocationError
 from repro.engine import assert_equivalent
 from repro.hypersonic import HypersonicConfig, HypersonicEngine, detect_hybrid
 from repro.hypersonic.items import ItemKind, WorkItem
+from repro.hypersonic.workers import WorkerPolicy
+from repro.simulator.hypersonic_sim import HypersonicSimulation
 
 
 PATTERNS = [
@@ -146,21 +148,49 @@ class TestEngineValidation:
         with pytest.raises(AllocationError):
             engine.run(make_stream(num_events=50, seed=17))
 
+    def test_stalled_pipeline_names_stuck_agent(self, monkeypatch):
+        select = WorkerPolicy.select
+
+        def starve_second_agent(policy, unit, now=float("inf")):
+            if unit.current_agent == 1:
+                return None
+            return select(policy, unit, now)
+
+        monkeypatch.setattr(WorkerPolicy, "select", starve_second_agent)
+        engine = HypersonicEngine(
+            Pattern.sequence(["A", "B", "C"], window=6.0), 4
+        )
+        with pytest.raises(AllocationError, match=r"stalled .*A1"):
+            engine.run(make_stream(num_events=200, seed=17))
+
 
 class TestMetrics:
     def test_counters_populated(self):
         pattern = Pattern.sequence(["A", "B", "C"], window=6.0)
         events = make_stream(num_events=300, seed=18)
-        engine = HypersonicEngine(pattern, 6)
-        matches = engine.run(events)
-        metrics = engine.metrics
-        assert metrics.events_ingested == len(events)
-        assert metrics.matches_emitted == len(matches)
-        assert metrics.items_processed > 0
-        assert metrics.comparisons > 0
-        assert metrics.fragment_locks > 0
-        assert metrics.peak_memory_bytes > 0
-        assert len(metrics.per_agent_items) == 2
+        simulation = HypersonicSimulation(pattern, 6)
+        locks: list[int] = []
+        cost_of = simulation._cost_of
+
+        def spy(receipt):
+            locks.append(receipt.fragments_locked)
+            return cost_of(receipt)
+
+        simulation._cost_of = spy
+        result = simulation.run(events)
+        # SimResult.events counts routed events; the splitter drops the
+        # types the pattern does not reference.
+        routed = sum(1 for e in events if e.type.name in {"A", "B", "C"})
+        assert result.events == routed
+        assert result.events + simulation.engine.splitter.events_dropped == (
+            len(events)
+        )
+        assert result.matches == len(simulation.matches)
+        assert sum(result.extra["per_agent_items"]) > 0
+        assert result.total_comparisons > 0
+        assert sum(locks) > 0
+        assert result.peak_memory_bytes > 0
+        assert len(result.extra["per_agent_items"]) == 2
 
     def test_allocation_plan_exposed(self):
         pattern = Pattern.sequence(["A", "B", "C"], window=6.0)

@@ -4,6 +4,7 @@ import pytest
 
 from tests.conftest import make_stream, reference_matches
 from repro.core import Pattern
+from repro.core.streams import Lookahead
 from repro.baselines import LLSFEngine, RIPEngine
 from repro.simulator import SequentialSimEngine, simulate_partitioned
 from repro.simulator.metrics import SimResult
@@ -16,14 +17,14 @@ class TestSequentialSimEngine:
     def test_single_partition_owns_everything(self):
         events = make_stream(num_events=100, seed=61)
         engine = SequentialSimEngine(PATTERN)
-        partitions = list(engine.partitions(events))
-        assert len(partitions) == 1
-        assert len(partitions[0].events) == 100
-        assert engine.assign_unit(partitions[0], [0.0]) == 0
+        spans = list(engine.spans(Lookahead(events)))
+        assert len(spans) == 1
+        assert len(events[spans[0].begin:spans[0].end]) == 100
+        assert engine.assign_unit(spans[0], [0.0]) == 0
 
     def test_empty_stream_yields_nothing(self):
         engine = SequentialSimEngine(PATTERN)
-        assert list(engine.partitions([])) == []
+        assert list(engine.spans(Lookahead([]))) == []
 
 
 class TestSimulatePartitioned:

@@ -24,6 +24,7 @@ from repro.costmodel import proportional_allocation
 from repro.engine import SequentialEngine, diff_match_sets
 from repro.hypersonic import HypersonicConfig, HypersonicEngine, WorkItem, WorkQueue
 from repro.baselines import LLSFEngine, RIPEngine
+from repro.simulator.hypersonic_sim import HypersonicSimulation
 
 TYPES = {name: EventType(name) for name in "ABCX"}
 
@@ -80,13 +81,23 @@ def sequential_reference(pattern, events):
 
 @settings(max_examples=25, deadline=None)
 @given(events=event_streams(), pattern_index=st.integers(0, len(PATTERNS) - 1),
-       units=st.integers(2, 9))
-def test_hybrid_equals_sequential(events, pattern_index, units):
+       units=st.integers(2, 9), deep=st.booleans())
+def test_hybrid_equals_sequential(events, pattern_index, units, deep):
     pattern = PATTERNS[pattern_index]
     reference = sequential_reference(pattern, events)
-    got = HypersonicEngine(
-        pattern, num_units=units, config=HypersonicConfig(agent_dynamic=True)
-    ).run(events)
+    config = HypersonicConfig(agent_dynamic=True)
+    if deep:
+        # Deep queues: the splitter may run thousands of items ahead of
+        # the units, so every agent sees long backlogs and late purges.
+        simulation = HypersonicSimulation(
+            pattern, units, config=config, inflight_cap=4096
+        )
+        simulation.run(events)
+        got = simulation.matches
+    else:
+        got = HypersonicEngine(pattern, num_units=units, config=config).run(
+            events
+        )
     assert diff_match_sets(reference, got).equivalent
 
 
