@@ -388,7 +388,8 @@ def paced_latencies(
 
     ``tracer_factory`` (strategy name -> tracer), as in
     :func:`compare_strategies`, attaches a tracer to each paced run —
-    e.g. a live :class:`~repro.obs.dashboard.DashboardTracer`.
+    e.g. a :class:`~repro.obs.TraceRecorder` feeding a live
+    :class:`~repro.obs.dashboard.DashboardPainter`.
     """
     cache = default_cache()
     costs = default_costs()

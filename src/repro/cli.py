@@ -695,20 +695,24 @@ def _command_simulate(args) -> int:
                 kwargs["shed_policy"] = args.shed_policy
         if slo_specs:
             kwargs["slos"] = slo_specs
+        subscribers = []
         if tracing:
+            from repro.obs import EventLog
+
+            subscribers.append(EventLog())
+        if args.dashboard:
+            from repro.obs import Dashboard, DashboardPainter
+
+            board = DashboardPainter(
+                strategy=strategy,
+                dashboard=Dashboard() if sys.stdout.isatty() else None,
+                min_seconds=0.05,
+            )
+            subscribers.append(board)
+        if subscribers:
             from repro.obs import TraceRecorder
 
-            kwargs["tracer"] = TraceRecorder()
-        if args.dashboard:
-            from repro.obs import Dashboard, DashboardTracer
-
-            live_view = (
-                Dashboard() if sys.stdout.isatty() else None
-            )
-            kwargs["tracer"] = DashboardTracer(
-                inner=kwargs.get("tracer"), strategy=strategy,
-                dashboard=live_view, min_seconds=0.05,
-            )
+            kwargs["tracer"] = TraceRecorder(*subscribers)
         # The CSV source replays from disk for each strategy, so the
         # whole comparison holds one window of events at a time.
         results[strategy] = simulate(
@@ -756,7 +760,7 @@ def _command_simulate(args) -> int:
             )
         if args.dashboard:
             print(f"-- dashboard ({strategy}) --")
-            print(kwargs["tracer"].final_frame())
+            print(board.frame())
         if args.trace:
             from repro.obs import write_chrome_trace
 
@@ -1086,9 +1090,9 @@ def _print_dashboard_tiles(boards: dict, tile_width: int | None) -> None:
     for name, board in boards.items():
         prefix, _, rest = name.partition("_")
         if prefix in _BENCH_TILE_GROUPS and rest:
-            groups.setdefault(prefix, []).append((rest, board.final_frame()))
+            groups.setdefault(prefix, []).append((rest, board.frame()))
         else:
-            groups.setdefault("fig7", []).append((name, board.final_frame()))
+            groups.setdefault("fig7", []).append((name, board.frame()))
     for group, tiles in groups.items():
         labels = ", ".join(label for label, _ in tiles)
         print(f"\n-- dashboard ({group}: {labels}) --")
@@ -1151,14 +1155,11 @@ def _command_bench(args) -> int:
 
     boards: dict[str, object] = {}
     if args.dashboard:
-        from repro.obs import DashboardTracer, TraceRecorder
+        from repro.obs import DashboardPainter, EventLog, TraceRecorder
 
         def tracer_factory(name: str):
-            board = DashboardTracer(
-                inner=TraceRecorder(), strategy=name
-            )
-            boards[name] = board
-            return board
+            boards[name] = DashboardPainter(strategy=name)
+            return TraceRecorder(EventLog(), boards[name])
     else:
         tracer_factory = None
 

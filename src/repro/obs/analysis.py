@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from repro.obs.tracer import TraceEvent, TraceKind, TraceRecorder
+from repro.obs.tracer import TraceEvent, TraceKind, TraceRecorder, _events_of
 
 __all__ = ["latency_breakdown", "percentile"]
 
@@ -44,13 +44,6 @@ def percentile(ordered: list[float], q: float) -> float:
         return 0.0
     index = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
     return ordered[index]
-
-
-def _events_of(trace: "TraceRecorder | Iterable[TraceEvent]") -> list[TraceEvent]:
-    events = getattr(trace, "events", None)
-    if events is not None:
-        return list(events)
-    return list(trace)
 
 
 def _distribution(values: list[float]) -> dict:

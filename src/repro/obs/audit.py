@@ -5,9 +5,9 @@ The runtime control plane (:mod:`repro.control.plane`) emits
 :class:`~repro.obs.drift.DriftEstimator`; this module reconstructs, from
 the recorded trace **alone**, what each decision saw and what it did:
 
-* **trigger** — a shadow ``DriftEstimator`` is replayed over the same
-  signals the live one consumed (``ALLOC_PLAN``/``FUSION_PLAN`` →
-  ``note_plan``, ``UNIT_BUSY`` → ``note_busy``), so at each ``REPLAN``
+* **trigger** — a shadow ``DriftEstimator`` observes the same signals
+  the live one consumed (``ALLOC_PLAN``/``FUSION_PLAN`` plans,
+  ``UNIT_BUSY`` spans) through its ``observe``, so at each ``REPLAN``
   event its state — observation count, observed vs. predicted shares,
   the empirically optimal split, the move count against the tolerance —
   *is* the evidence the plane acted on.  Reallocations mirror the
@@ -34,10 +34,10 @@ from bisect import bisect_right
 from typing import Iterable
 
 from repro.costmodel.model import allocation_moves, proportional_allocation
-from repro.obs.analysis import _depth_integral, _events_of
+from repro.obs.analysis import _depth_integral
 from repro.obs.calibration import DEFAULT_TOLERANCE
 from repro.obs.drift import DriftEstimator
-from repro.obs.tracer import TraceEvent, TraceKind, TraceRecorder
+from repro.obs.tracer import TraceEvent, TraceKind, TraceRecorder, _events_of
 
 __all__ = ["audit_report"]
 
@@ -76,16 +76,10 @@ def audit_report(trace: "TraceRecorder | Iterable[TraceEvent]",
     decisions: list[dict] = []
     num_agents = 0
     for event in events:
+        est.observe(event)
         if event.kind in (TraceKind.ALLOC_PLAN, TraceKind.FUSION_PLAN):
-            per_agent = [int(c) for c in event.args.get("per_agent", [])]
-            est.note_plan(per_agent, [
-                float(load) for load in event.args.get("loads", [])
-            ])
             plan_ts = event.ts
-            num_agents = max(num_agents, len(per_agent))
-        elif event.kind == TraceKind.UNIT_BUSY:
-            if event.agent is not None:
-                est.note_busy(event.agent, event.dur)
+            num_agents = max(num_agents, est.num_agents)
         elif event.kind == TraceKind.REPLAN:
             args = event.args
             kind = args.get("decision", "?")

@@ -29,8 +29,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.costmodel.model import allocation_moves, proportional_allocation
-from repro.obs.analysis import _depth_integral, _events_of
-from repro.obs.tracer import TraceEvent, TraceKind, TraceRecorder
+from repro.obs.analysis import _depth_integral
+from repro.obs.tracer import TraceEvent, TraceKind, TraceRecorder, _events_of
 
 __all__ = ["calibration_report", "DEFAULT_TOLERANCE"]
 

@@ -11,12 +11,13 @@ a terminal:
   sequences: the same inputs yield byte-identical output, which is what
   lets CI golden-pin a frame and upload rendered frames as artifacts.
 * :class:`DashboardState` accumulates exactly the render-relevant facts
-  from trace events.  It is fed either **live** (the
-  :class:`DashboardTracer` hooks, repainting on the kernel's snapshot
-  cadence via :meth:`~repro.obs.tracer.Tracer.frame_tick`) or by
-  **replaying** a recorded JSONL trace (:func:`replay_frames` /
+  from trace events through one entry point, ``observe(event)``.  It is
+  fed either **live** — a :class:`DashboardPainter` subscribed to a
+  :class:`~repro.obs.tracer.TraceRecorder`, repainting on the kernel's
+  snapshot cadence via :meth:`~repro.obs.tracer.Tracer.frame_tick` — or
+  by **replaying** a recorded JSONL trace (:func:`replay_frames` /
   :func:`final_frame` over :func:`repro.obs.export.read_jsonl` events).
-  Both paths run the same update code, so a live run's final frame is
+  Both paths observe the same events, so a live run's final frame is
   byte-identical to replaying its own trace — the equivalence the tests
   pin.
 * :class:`Dashboard` is the only piece that touches a terminal: on a TTY
@@ -37,7 +38,7 @@ import time
 from collections import deque
 from typing import IO, Iterable, Mapping, Sequence
 
-from repro.obs.tracer import NULL_TRACER, TraceEvent, TraceKind, Tracer
+from repro.obs.tracer import Subscriber, TraceEvent, TraceKind, _events_of
 
 __all__ = [
     "DEFAULT_WIDTH",
@@ -49,7 +50,7 @@ __all__ = [
     "final_frame",
     "tile_frames",
     "Dashboard",
-    "DashboardTracer",
+    "DashboardPainter",
 ]
 
 DEFAULT_WIDTH = 80
@@ -78,14 +79,12 @@ _BAR_SLOTS = 24
 # --------------------------------------------------------------------- #
 
 
-class DashboardState:
+class DashboardState(Subscriber):
     """Render-relevant facts accumulated from one run's trace events.
 
-    The ``on_*`` methods mirror the tracer hooks; :meth:`observe` replays
-    a recorded :class:`~repro.obs.tracer.TraceEvent` through the *same*
-    methods.  The only normalisation applied is the one the recorder
-    itself applies when writing a trace (allocation loads rounded to six
-    decimals), so the live and replayed states agree bit for bit.
+    :meth:`observe` is the only feed, live and replayed alike: the live
+    state reads the very events the recorder retains, so the live and
+    replayed states agree bit for bit.
     """
 
     def __init__(self, strategy: str = "", history: int = HISTORY) -> None:
@@ -117,69 +116,97 @@ class DashboardState:
         self._channel_depth: dict[int, dict[str, int]] = {}
         self.depth_history: dict[int, deque] = {}
 
-    def _advance(self, ts: float) -> None:
+    # -- the one event entry point -------------------------------------- #
+
+    def observe(self, event: TraceEvent) -> None:
+        """Apply one trace event, live (from a
+        :class:`~repro.obs.tracer.TraceRecorder`) or replayed."""
+        kind = event.kind
+        args = event.args
+        ts = event.ts
+        if kind == TraceKind.UNIT_BUSY:
+            ts += event.dur  # a span advances the clock to its end
+        elif kind not in TraceKind.ALL:
+            return  # a kind this dashboard does not know: ignore it
         if ts > self.now:
             self.now = ts
+        if kind == TraceKind.UNIT_BUSY:
+            agent, unit, dur = event.agent, event.unit, event.dur
+            self.items += 1
+            if agent is not None:
+                self.agent_busy[agent] = self.agent_busy.get(agent, 0.0) + dur
+                self.agent_items[agent] = self.agent_items.get(agent, 0) + 1
+            if unit is not None:
+                self.unit_busy[unit] = self.unit_busy.get(unit, 0.0) + dur
+        elif kind == TraceKind.QUEUE_DEPTH:
+            agent = -1 if event.agent is None else event.agent
+            channels = self._channel_depth.setdefault(agent, {})
+            channels[args.get("channel", "?")] = args.get("depth", 0)
+            total = sum(channels.values())
+            history = self.depth_history.setdefault(
+                agent, deque(maxlen=self.history)
+            )
+            # One sampling burst emits every channel at the same virtual
+            # timestamp; collapse the burst into a single history point.
+            if history and history[-1][0] == ts:
+                history[-1] = (ts, total)
+            else:
+                history.append((ts, total))
+        elif kind == TraceKind.SPLITTER_ROUTE:
+            self.routed += 1
+        elif kind == TraceKind.SPLITTER_DROP:
+            self.dropped += 1
+        elif kind == TraceKind.SHED:
+            self.shed += 1
+        elif kind == TraceKind.ROLE_SWITCH:
+            self.role_switches += 1
+        elif kind == TraceKind.MIGRATION:
+            self.migrations += 1
+        elif kind == TraceKind.MATCH:
+            self.matches += 1
+            latency = args.get("latency")
+            if latency is not None:
+                self.latency_sum += latency
+                self.latency_known += 1
+        elif kind == TraceKind.ALLOC_PLAN:
+            self.plan = {
+                "scheme": str(args.get("scheme", "?")),
+                "per_agent": [int(n) for n in args.get("per_agent", [])],
+                "loads": [float(load) for load in args.get("loads", [])],
+            }
+        elif kind == TraceKind.FUSION_PLAN:
+            per_agent = [int(n) for n in args.get("per_agent", [])]
+            # Fusion plans carry unit counts but no raw loads; the
+            # allocated shares are the plan's load prediction (as in
+            # calibration).
+            self.plan = {
+                "scheme": "fusion",
+                "per_agent": per_agent,
+                "loads": [float(count) for count in per_agent],
+            }
+        elif kind == TraceKind.REPLAN:
+            self._replan(ts, args)
+        elif kind == TraceKind.SLO:
+            self.slo[str(args.get("metric", "?"))] = {
+                "value": float(args.get("value", 0.0)),
+                "bound": float(args.get("bound", 0.0)),
+                "ok": bool(args.get("ok", False)),
+                "burn": float(args.get("burn", 0.0)),
+            }
 
-    # -- hook-parallel updates ------------------------------------------ #
-
-    def on_unit_busy(self, start: float, dur: float, unit: int | None,
-                     agent: int | None) -> None:
-        self._advance(start + dur)
-        self.items += 1
-        if agent is not None:
-            self.agent_busy[agent] = self.agent_busy.get(agent, 0.0) + dur
-            self.agent_items[agent] = self.agent_items.get(agent, 0) + 1
-        if unit is not None:
-            self.unit_busy[unit] = self.unit_busy.get(unit, 0.0) + dur
-
-    def on_queue_depth(self, ts: float, agent: int | None, channel: str,
-                       depth: int) -> None:
-        self._advance(ts)
-        agent = -1 if agent is None else agent
-        channels = self._channel_depth.setdefault(agent, {})
-        channels[channel] = depth
-        total = sum(channels.values())
-        history = self.depth_history.setdefault(
-            agent, deque(maxlen=self.history)
-        )
-        # One sampling burst emits every channel at the same virtual
-        # timestamp; collapse the burst into a single history point.
-        if history and history[-1][0] == ts:
-            history[-1] = (ts, total)
-        else:
-            history.append((ts, total))
-
-    def on_splitter_route(self, ts: float) -> None:
-        self._advance(ts)
-        self.routed += 1
-
-    def on_splitter_drop(self, ts: float) -> None:
-        self._advance(ts)
-        self.dropped += 1
-
-    def on_shed(self, ts: float) -> None:
-        self._advance(ts)
-        self.shed += 1
-
-    def on_replan(self, ts: float, decision: str, per_agent,
-                  reason: str, epoch: int | None = None,
-                  agent: int | None = None,
-                  partner: int | None = None) -> None:
-        self._advance(ts)
+    def _replan(self, ts: float, args: dict) -> None:
+        decision = str(args.get("decision", "?"))
+        reason = str(args.get("reason", ""))
         self.replans += 1
         self.last_replan = {
-            "decision": str(decision),
-            "per_agent": [int(count) for count in per_agent],
-            "reason": str(reason),
+            "decision": decision,
+            "per_agent": [int(n) for n in args.get("per_agent", [])],
+            "reason": reason,
         }
-        entry = {"ts": ts, "decision": str(decision), "reason": str(reason)}
-        if epoch is not None:
-            entry["epoch"] = int(epoch)
-        if agent is not None:
-            entry["agent"] = int(agent)
-        if partner is not None:
-            entry["partner"] = int(partner)
+        entry = {"ts": ts, "decision": decision, "reason": reason}
+        for key in ("epoch", "agent", "partner"):
+            if args.get(key) is not None:
+                entry[key] = int(args[key])
         self.decision_log.append(entry)
         # Re-allocation updates the live plan so the drift column tracks
         # the *current* allocation, exactly like a fresh ALLOC_PLAN would.
@@ -188,105 +215,12 @@ class DashboardState:
                 self.plan, per_agent=list(self.last_replan["per_agent"])
             )
 
-    def on_alloc_plan(self, ts: float, per_agent, loads, scheme: str) -> None:
-        self._advance(ts)
-        self.plan = {
-            "scheme": str(scheme),
-            "per_agent": [int(count) for count in per_agent],
-            # The recorder rounds loads to six decimals when writing the
-            # trace; round here too so live == replay.
-            "loads": [round(float(load), 6) for load in loads],
-        }
-
-    def on_fusion_plan(self, ts: float, per_agent) -> None:
-        self._advance(ts)
-        # Fusion plans carry unit counts but no raw loads; the allocated
-        # shares are the plan's load prediction (as in calibration).
-        self.plan = {
-            "scheme": "fusion",
-            "per_agent": [int(count) for count in per_agent],
-            "loads": [float(count) for count in per_agent],
-        }
-
-    def on_role_switch(self, ts: float) -> None:
-        self._advance(ts)
-        self.role_switches += 1
-
-    def on_migration(self, ts: float) -> None:
-        self._advance(ts)
-        self.migrations += 1
-
-    def on_slo(self, ts: float, metric: str, value: float, bound: float,
-               ok: bool, burn: float) -> None:
-        self._advance(ts)
-        # The recorder rounds value/burn to six decimals when writing the
-        # trace; round here too so live == replay.
-        self.slo[str(metric)] = {
-            "value": round(float(value), 6),
-            "bound": float(bound),
-            "ok": bool(ok),
-            "burn": round(float(burn), 6),
-        }
-
-    def on_match(self, ts: float, latency: float | None) -> None:
-        self._advance(ts)
-        self.matches += 1
-        if latency is not None:
-            self.latency_sum += latency
-            self.latency_known += 1
-
-    def on_partition_start(self, ts: float) -> None:
-        self._advance(ts)
-
-    # -- replay --------------------------------------------------------- #
-
-    def observe(self, event: TraceEvent) -> None:
-        """Apply one recorded trace event (the replay path)."""
-        kind = event.kind
-        args = event.args
-        if kind == TraceKind.UNIT_BUSY:
-            self.on_unit_busy(event.ts, event.dur, event.unit, event.agent)
-        elif kind == TraceKind.QUEUE_DEPTH:
-            self.on_queue_depth(
-                event.ts, event.agent,
-                args.get("channel", "?"), args.get("depth", 0),
-            )
-        elif kind == TraceKind.SPLITTER_ROUTE:
-            self.on_splitter_route(event.ts)
-        elif kind == TraceKind.SPLITTER_DROP:
-            self.on_splitter_drop(event.ts)
-        elif kind == TraceKind.ALLOC_PLAN:
-            self.on_alloc_plan(
-                event.ts, args.get("per_agent", []),
-                args.get("loads", []), args.get("scheme", "?"),
-            )
-        elif kind == TraceKind.FUSION_PLAN:
-            self.on_fusion_plan(event.ts, args.get("per_agent", []))
-        elif kind == TraceKind.ROLE_SWITCH:
-            self.on_role_switch(event.ts)
-        elif kind == TraceKind.MIGRATION:
-            self.on_migration(event.ts)
-        elif kind == TraceKind.MATCH:
-            self.on_match(event.ts, args.get("latency"))
-        elif kind == TraceKind.PARTITION_START:
-            self.on_partition_start(event.ts)
-        elif kind == TraceKind.REPLAN:
-            self.on_replan(
-                event.ts, args.get("decision", "?"),
-                args.get("per_agent", []), args.get("reason", ""),
-                epoch=args.get("epoch"), agent=args.get("agent"),
-                partner=args.get("partner"),
-            )
-        elif kind == TraceKind.SHED:
-            self.on_shed(event.ts)
-        elif kind == TraceKind.SLO:
-            self.on_slo(
-                event.ts, args.get("metric", "?"), args.get("value", 0.0),
-                args.get("bound", 0.0), args.get("ok", False),
-                args.get("burn", 0.0),
-            )
-
     # -- snapshot ------------------------------------------------------- #
+
+    def render(self, width: int = DEFAULT_WIDTH,
+               height: int = DEFAULT_HEIGHT) -> str:
+        """:func:`render_frame` of the current state."""
+        return render_frame(self.snapshot(), self.plan, width, height)
 
     def snapshot(self) -> dict:
         """Plain-dict registry snapshot — :func:`render_frame`'s input."""
@@ -566,13 +500,6 @@ def render_frame(snapshot: Mapping, plan: Mapping | None = None,
 # --------------------------------------------------------------------- #
 
 
-def _events_of(trace) -> list[TraceEvent]:
-    events = getattr(trace, "events", None)
-    if events is not None:
-        return list(events)
-    return list(trace)
-
-
 def replay_frames(trace: "Iterable[TraceEvent]", *,
                   width: int = DEFAULT_WIDTH, height: int = DEFAULT_HEIGHT,
                   strategy: str = "",
@@ -590,16 +517,10 @@ def replay_frames(trace: "Iterable[TraceEvent]", *,
     for event in _events_of(trace):
         is_sample = event.kind == TraceKind.QUEUE_DEPTH
         if in_burst and not is_sample:
-            frames.append((
-                state.now,
-                render_frame(state.snapshot(), state.plan, width, height),
-            ))
+            frames.append((state.now, state.render(width, height)))
         state.observe(event)
         in_burst = is_sample
-    frames.append((
-        state.now,
-        render_frame(state.snapshot(), state.plan, width, height),
-    ))
+    frames.append((state.now, state.render(width, height)))
     return frames
 
 
@@ -610,7 +531,7 @@ def final_frame(trace: "Iterable[TraceEvent]", *,
     state = DashboardState(strategy=strategy, history=history)
     for event in _events_of(trace):
         state.observe(event)
-    return render_frame(state.snapshot(), state.plan, width, height)
+    return state.render(width, height)
 
 
 def tile_frames(frames: "Sequence[str]", *, width: int = DEFAULT_WIDTH,
@@ -682,49 +603,36 @@ class Dashboard:
             flush()
 
 
-class DashboardTracer(Tracer):
-    """Live dashboard sink, chainable like :class:`MetricsTracer`.
+class DashboardPainter(DashboardState):
+    """The live dashboard: a :class:`DashboardState` that repaints.
 
-    Every hook updates the :class:`DashboardState` and forwards to
-    *inner* — a :class:`~repro.obs.tracer.TraceRecorder`, a
-    :class:`~repro.obs.registry.MetricsTracer` (itself chaining to a
-    recorder), or nothing — so one run can feed the dashboard, the
-    metrics registry, and a full trace at once.  Repainting happens on
-    the kernel's snapshot cadence (:meth:`frame_tick`), optionally
-    wall-clock throttled; the *final* frame of a live run is
-    byte-identical to :func:`final_frame` over the run's recorded JSONL,
-    because rendering reads only the accumulated state, never the tick.
+    Subscribe it to a :class:`~repro.obs.tracer.TraceRecorder` — beside
+    an :class:`~repro.obs.tracer.EventLog` when the trace is kept too.
+    It repaints on the recorder's :meth:`frame_tick` (the kernel's
+    snapshot cadence), optionally throttled to one paint per
+    *min_seconds* of wall time.  The state is fed through the same
+    :meth:`observe` as a replay, and rendering reads only the state, so
+    the final frame of a live run is byte-identical to
+    :func:`final_frame` over the run's recorded trace.
     """
 
-    enabled = True
-
-    def __init__(self, inner: Tracer | None = None, *, strategy: str = "",
-                 width: int = DEFAULT_WIDTH, height: int = DEFAULT_HEIGHT,
+    def __init__(self, *, strategy: str = "", width: int = DEFAULT_WIDTH,
+                 height: int = DEFAULT_HEIGHT,
                  dashboard: Dashboard | None = None,
                  min_seconds: float = 0.0,
                  history: int = HISTORY) -> None:
-        self.inner = inner if inner is not None else NULL_TRACER
-        self.state = DashboardState(strategy=strategy, history=history)
+        super().__init__(strategy=strategy, history=history)
         self.width = width
         self.height = height
         self.dashboard = dashboard
         self.min_seconds = min_seconds
         self._last_paint: float | None = None
 
-    def render(self) -> str:
-        """The frame for the current accumulated state."""
-        return render_frame(
-            self.state.snapshot(), self.state.plan, self.width, self.height
-        )
-
-    def final_frame(self) -> str:
-        """Alias of :meth:`render` named for the end-of-run call site."""
-        return self.render()
-
-    # -- tracer hooks ---------------------------------------------------- #
+    def frame(self) -> str:
+        """The frame for the current state at this painter's geometry."""
+        return self.render(self.width, self.height)
 
     def frame_tick(self, ts: float) -> None:
-        self.inner.frame_tick(ts)
         if self.dashboard is None:
             return
         if self.min_seconds > 0:
@@ -733,65 +641,4 @@ class DashboardTracer(Tracer):
                     and now - self._last_paint < self.min_seconds):
                 return
             self._last_paint = now
-        self.dashboard.paint(self.render())
-
-    def unit_busy(self, start, dur, unit, agent, role, item_kind) -> None:
-        self.state.on_unit_busy(start, dur, unit, agent)
-        self.inner.unit_busy(start, dur, unit, agent, role, item_kind)
-
-    def queue_depth(self, ts, agent, channel, depth) -> None:
-        self.state.on_queue_depth(ts, agent, channel, depth)
-        self.inner.queue_depth(ts, agent, channel, depth)
-
-    def splitter_route(self, ts, event_type, pushes) -> None:
-        self.state.on_splitter_route(ts)
-        self.inner.splitter_route(ts, event_type, pushes)
-
-    def splitter_drop(self, ts, event_type) -> None:
-        self.state.on_splitter_drop(ts)
-        self.inner.splitter_drop(ts, event_type)
-
-    def alloc_plan(self, ts, per_agent, loads, scheme, features=None) -> None:
-        self.state.on_alloc_plan(ts, per_agent, loads, scheme)
-        self.inner.alloc_plan(ts, per_agent, loads, scheme, features=features)
-
-    def fusion_plan(self, ts, groups, per_agent) -> None:
-        self.state.on_fusion_plan(ts, per_agent)
-        self.inner.fusion_plan(ts, groups, per_agent)
-
-    def role_switch(self, ts, unit, agent, primary, acted) -> None:
-        self.state.on_role_switch(ts)
-        self.inner.role_switch(ts, unit, agent, primary, acted)
-
-    def migration(self, ts, unit, from_agent, to_agent) -> None:
-        self.state.on_migration(ts)
-        self.inner.migration(ts, unit, from_agent, to_agent)
-
-    def match(self, ts, agent, latency) -> None:
-        self.state.on_match(ts, latency)
-        self.inner.match(ts, agent, latency)
-
-    def partition_start(self, ts, partition, unit) -> None:
-        self.state.on_partition_start(ts)
-        self.inner.partition_start(ts, partition, unit)
-
-    def replan(self, ts, decision, per_agent, reason, epoch=None,
-               agent=None, partner=None) -> None:
-        self.state.on_replan(ts, decision, per_agent, reason, epoch=epoch,
-                             agent=agent, partner=partner)
-        self.inner.replan(ts, decision, per_agent, reason, epoch=epoch,
-                          agent=agent, partner=partner)
-
-    def shed(self, ts, event_type, policy) -> None:
-        self.state.on_shed(ts)
-        self.inner.shed(ts, event_type, policy)
-
-    def slo(self, ts, metric, value, bound, ok, burn) -> None:
-        self.state.on_slo(ts, metric, value, bound, ok, burn)
-        self.inner.slo(ts, metric, value, bound, ok, burn)
-
-    # Exporters accept any object exposing ``events``; delegate to the
-    # inner recorder when it has one (as MetricsTracer does).
-    @property
-    def events(self):
-        return getattr(self.inner, "events", [])
+        self.dashboard.paint(self.frame())

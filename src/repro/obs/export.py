@@ -23,7 +23,7 @@ import math
 import warnings
 from typing import Iterable, Sequence
 
-from repro.obs.tracer import TraceEvent, TraceKind, TraceRecorder
+from repro.obs.tracer import TraceEvent, TraceKind, TraceRecorder, _events_of
 
 __all__ = [
     "chrome_trace",
@@ -45,13 +45,6 @@ _INSTANT_NAMES = {
     TraceKind.MATCH: "match",
     TraceKind.PARTITION_START: "partition_start",
 }
-
-
-def _events_of(trace: "TraceRecorder | Iterable[TraceEvent]") -> list[TraceEvent]:
-    events = getattr(trace, "events", None)
-    if events is not None:
-        return list(events)
-    return list(trace)
 
 
 def chrome_trace(trace: "TraceRecorder | Iterable[TraceEvent]") -> dict:

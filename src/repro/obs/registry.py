@@ -12,9 +12,11 @@ Prometheus client model:
 
 Two population paths exist:
 
-* :class:`MetricsTracer` — a recording :class:`~repro.obs.tracer.Tracer`
-  that updates a registry live as the simulator emits events (and can
-  chain to another tracer, so metrics and full traces come from one run);
+* :class:`MetricsSubscriber` — a :class:`~repro.obs.tracer.Subscriber`
+  that updates a registry from trace events, live from a
+  :class:`~repro.obs.tracer.TraceRecorder` (beside an
+  :class:`~repro.obs.tracer.EventLog` when the full trace is kept too) or
+  over a recorded trace;
 * :func:`populate_from_summary` — fills a registry from an existing
   ``SimResult.extra["obs"]`` summary, for post-hoc export.
 """
@@ -23,14 +25,14 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import Subscriber, TraceEvent, TraceKind
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "MetricsTracer",
+    "MetricsSubscriber",
     "populate_from_summary",
     "prometheus_text",
 ]
@@ -261,23 +263,19 @@ def prometheus_text(registry: MetricsRegistry) -> str:
     return "\n".join(lines) + "\n"
 
 
-class MetricsTracer(Tracer):
-    """Tracer updating a :class:`MetricsRegistry` as events arrive.
+class MetricsSubscriber(Subscriber):
+    """Updates a :class:`MetricsRegistry` from trace events.
 
-    Optionally chains every hook to *inner* (e.g. a
-    :class:`~repro.obs.tracer.TraceRecorder`) so one run can feed both the
-    registry and a full trace.  The simulators treat a ``MetricsTracer``
-    exactly like any recording tracer; attach one via the ``tracer=``
-    keyword of :func:`repro.simulator.simulate`.
+    Subscribe it to a :class:`~repro.obs.tracer.TraceRecorder` to fill the
+    registry live (``TraceRecorder(EventLog(), metrics)`` also keeps the
+    full trace), or call :meth:`observe` over a recorded trace to fill it
+    after the fact; both give the same series.  Every series carries a
+    ``strategy`` label when *strategy* is set.
     """
 
-    enabled = True
-
     def __init__(self, registry: MetricsRegistry | None = None,
-                 inner: Tracer | None = None,
                  strategy: str = "") -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.inner = inner if inner is not None else NULL_TRACER
         self._strategy = strategy
         reg = self.registry
         self._busy = reg.histogram(
@@ -323,76 +321,48 @@ class MetricsTracer(Tracer):
             labels["strategy"] = self._strategy
         return labels
 
-    # -- tracer hooks ---------------------------------------------------- #
-
-    def unit_busy(self, start, dur, unit, agent, role, item_kind) -> None:
-        self._busy.observe(dur, **self._labels(agent=agent))
-        self._busy_total.inc(dur, **self._labels(agent=agent))
-        self._items.inc(1, **self._labels(agent=agent, item=item_kind))
-        self.inner.unit_busy(start, dur, unit, agent, role, item_kind)
-
-    def queue_depth(self, ts, agent, channel, depth) -> None:
-        self._depth.set(depth, **self._labels(agent=agent, channel=channel))
-        self.inner.queue_depth(ts, agent, channel, depth)
-
-    def splitter_route(self, ts, event_type, pushes) -> None:
-        self._routed.inc(1, **self._labels(type=event_type))
-        self.inner.splitter_route(ts, event_type, pushes)
-
-    def splitter_drop(self, ts, event_type) -> None:
-        self._dropped.inc(1, **self._labels(type=event_type))
-        self.inner.splitter_drop(ts, event_type)
-
-    def alloc_plan(self, ts, per_agent, loads, scheme, features=None) -> None:
-        self.inner.alloc_plan(ts, per_agent, loads, scheme, features=features)
-
-    def fusion_plan(self, ts, groups, per_agent) -> None:
-        self.inner.fusion_plan(ts, groups, per_agent)
-
-    def role_switch(self, ts, unit, agent, primary, acted) -> None:
-        self._dynamics.inc(1, **self._labels(kind="role_switch"))
-        self.inner.role_switch(ts, unit, agent, primary, acted)
-
-    def migration(self, ts, unit, from_agent, to_agent) -> None:
-        self._dynamics.inc(1, **self._labels(kind="migration"))
-        self.inner.migration(ts, unit, from_agent, to_agent)
-
-    def match(self, ts, agent, latency) -> None:
-        self._matches.inc(1, **self._labels(agent=agent))
-        if latency is not None:
-            self._latency.observe(latency, **self._labels(agent=agent))
-        self.inner.match(ts, agent, latency)
-
-    def partition_start(self, ts, partition, unit) -> None:
-        self.inner.partition_start(ts, partition, unit)
-
-    def replan(self, ts, decision, per_agent, reason,
-               epoch=None, agent=None, partner=None) -> None:
-        self._replans.inc(1, **self._labels(decision=decision))
-        self.inner.replan(
-            ts, decision, per_agent, reason,
-            epoch=epoch, agent=agent, partner=partner,
-        )
-
-    def shed(self, ts, event_type, policy) -> None:
-        self._shed.inc(1, **self._labels(type=event_type, policy=policy))
-        self.inner.shed(ts, event_type, policy)
-
-    def slo(self, ts, metric, value, bound, ok, burn) -> None:
-        self._slo_windows.inc(
-            1, **self._labels(metric=metric, ok=str(bool(ok)).lower())
-        )
-        self._slo_burn.set(burn, **self._labels(metric=metric))
-        self.inner.slo(ts, metric, value, bound, ok, burn)
-
-    def frame_tick(self, ts) -> None:
-        self.inner.frame_tick(ts)
-
-    # TraceRecorder compatibility: exporters accept any object exposing
-    # ``events``; delegate to the inner recorder when it has one.
-    @property
-    def events(self):
-        return getattr(self.inner, "events", [])
+    def observe(self, event: TraceEvent) -> None:
+        kind = event.kind
+        args = event.args
+        if kind == TraceKind.UNIT_BUSY:
+            labels = self._labels(agent=event.agent)
+            self._busy.observe(event.dur, **labels)
+            self._busy_total.inc(event.dur, **labels)
+            item = args.get("item", "?")
+            self._items.inc(1, **self._labels(agent=event.agent, item=item))
+        elif kind == TraceKind.QUEUE_DEPTH:
+            channel = args.get("channel", "?")
+            self._depth.set(
+                args.get("depth", 0),
+                **self._labels(agent=event.agent, channel=channel),
+            )
+        elif kind == TraceKind.SPLITTER_ROUTE:
+            self._routed.inc(1, **self._labels(type=args.get("type", "?")))
+        elif kind == TraceKind.SPLITTER_DROP:
+            self._dropped.inc(1, **self._labels(type=args.get("type", "?")))
+        elif kind in (TraceKind.ROLE_SWITCH, TraceKind.MIGRATION):
+            self._dynamics.inc(1, **self._labels(kind=kind))
+        elif kind == TraceKind.MATCH:
+            labels = self._labels(agent=event.agent)
+            self._matches.inc(1, **labels)
+            if "latency" in args:
+                self._latency.observe(args["latency"], **labels)
+        elif kind == TraceKind.REPLAN:
+            decision = args.get("decision", "?")
+            self._replans.inc(1, **self._labels(decision=decision))
+        elif kind == TraceKind.SHED:
+            policy = args.get("policy", "?")
+            self._shed.inc(
+                1, **self._labels(type=args.get("type", "?"), policy=policy)
+            )
+        elif kind == TraceKind.SLO:
+            metric = args.get("metric", "?")
+            ok = str(bool(args.get("ok", False))).lower()
+            self._slo_windows.inc(1, **self._labels(metric=metric, ok=ok))
+            # The recorded burn: rounded to six decimals by the recorder.
+            self._slo_burn.set(
+                args.get("burn", 0.0), **self._labels(metric=metric)
+            )
 
 
 def populate_from_summary(registry: MetricsRegistry, summary: Mapping,

@@ -9,8 +9,10 @@ shared evaluator:
   (``observe_route`` / ``observe_shed`` / ``observe_match``) and the
   control plane polls :meth:`evaluate` on its epoch cadence, so SLO
   verdicts become replan/shed triggers while the run is still going;
-* **offline** — :func:`slo_report` replays the same evaluation from a
-  recorded trace (``SPLITTER_ROUTE`` / ``SHED`` / ``MATCH`` events).
+* **from the trace** — :meth:`SloEngine.observe` applies one recorded
+  ``SPLITTER_ROUTE`` / ``SHED`` / ``MATCH`` event.  Subscribed to a
+  :class:`~repro.obs.tracer.TraceRecorder` it follows a live run; over a
+  recorded trace it is :func:`slo_report`.
 
 The two paths are **byte-identical by construction**: observations are
 bucketed by ``int(ts // window)`` and a window's verdict is a pure
@@ -27,11 +29,6 @@ exhausted).  Windows with no signal for a spec (no matches, no arrivals)
 are reported as ``no_data`` and never charge the budget; an *empty*
 throughput window does charge it — zero admitted events under a
 throughput floor is exactly the starvation the spec exists to catch.
-
-:class:`SloTracer` adapts the engine to the chaining
-:class:`~repro.obs.tracer.Tracer` interface (like ``MetricsTracer`` /
-``DashboardTracer``) for consumers that want live SLO state on a run that
-is also recording or painting.
 """
 
 from __future__ import annotations
@@ -40,15 +37,22 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.obs.analysis import _events_of, percentile
-from repro.obs.tracer import NULL_TRACER, TraceEvent, TraceKind, Tracer, TraceRecorder
+from repro.obs.analysis import percentile
+from repro.obs.tracer import (
+    NULL_TRACER,
+    Subscriber,
+    TraceEvent,
+    TraceKind,
+    Tracer,
+    TraceRecorder,
+    _events_of,
+)
 
 __all__ = [
     "SLO_METRICS",
     "DEFAULT_OBJECTIVE",
     "SloSpec",
     "SloEngine",
-    "SloTracer",
     "slo_report",
 ]
 
@@ -159,10 +163,11 @@ class _SpecState:
         return "ok"
 
 
-class SloEngine:
+class SloEngine(Subscriber):
     """Windowed SLO evaluation shared by the live and replay paths.
 
-    Feed observations (timestamps on the virtual clock), poll
+    Feed observations (timestamps on the virtual clock) directly or as
+    trace events through :meth:`observe`, poll
     :meth:`evaluate` for the control plane, call :meth:`close` once the
     run ends, then :meth:`report`.  Window closes with a verdict are
     mirrored to *tracer* as ``SLO`` trace events so the dashboard (live or
@@ -212,6 +217,17 @@ class SloEngine:
             if state.spec.metric == "p95_latency":
                 bucket = int(ts // state.spec.window)
                 state.latencies.setdefault(bucket, []).append(latency)
+
+    def observe(self, event: TraceEvent) -> None:
+        """Apply one trace event: ``SPLITTER_ROUTE``, ``SHED`` and
+        ``MATCH`` are the observations above; other kinds are ignored."""
+        kind = event.kind
+        if kind == TraceKind.SPLITTER_ROUTE:
+            self.observe_route(event.ts)
+        elif kind == TraceKind.SHED:
+            self.observe_shed(event.ts)
+        elif kind == TraceKind.MATCH:
+            self.observe_match(event.ts, event.args.get("latency"))
 
     # -- window evaluation ------------------------------------------------ #
 
@@ -334,76 +350,6 @@ class SloEngine:
         }
 
 
-class SloTracer(Tracer):
-    """Chaining tracer feeding an :class:`SloEngine` from trace hooks.
-
-    Consumes exactly the hooks :func:`slo_report` reads from a recorded
-    trace (``splitter_route`` / ``shed`` / ``match``) and forwards every
-    hook to *inner*, so it can sit in front of a recorder or dashboard.
-    The engine's verdicts are then live (``tracer.engine.evaluate(now)``)
-    while the recording stays replayable to the same report.
-    """
-
-    enabled = True
-
-    def __init__(self, engine: SloEngine, inner: Tracer | None = None) -> None:
-        self.engine = engine
-        self.inner = inner if inner is not None else NULL_TRACER
-
-    def splitter_route(self, ts, event_type, pushes) -> None:
-        self.engine.observe_route(ts)
-        self.inner.splitter_route(ts, event_type, pushes)
-
-    def shed(self, ts, event_type, policy) -> None:
-        self.engine.observe_shed(ts)
-        self.inner.shed(ts, event_type, policy)
-
-    def match(self, ts, agent, latency) -> None:
-        self.engine.observe_match(ts, latency)
-        self.inner.match(ts, agent, latency)
-
-    def unit_busy(self, start, dur, unit, agent, role, item_kind) -> None:
-        self.inner.unit_busy(start, dur, unit, agent, role, item_kind)
-
-    def queue_depth(self, ts, agent, channel, depth) -> None:
-        self.inner.queue_depth(ts, agent, channel, depth)
-
-    def splitter_drop(self, ts, event_type) -> None:
-        self.inner.splitter_drop(ts, event_type)
-
-    def alloc_plan(self, ts, per_agent, loads, scheme, features=None) -> None:
-        self.inner.alloc_plan(ts, per_agent, loads, scheme, features=features)
-
-    def fusion_plan(self, ts, groups, per_agent) -> None:
-        self.inner.fusion_plan(ts, groups, per_agent)
-
-    def role_switch(self, ts, unit, agent, primary, acted) -> None:
-        self.inner.role_switch(ts, unit, agent, primary, acted)
-
-    def migration(self, ts, unit, from_agent, to_agent) -> None:
-        self.inner.migration(ts, unit, from_agent, to_agent)
-
-    def partition_start(self, ts, partition, unit) -> None:
-        self.inner.partition_start(ts, partition, unit)
-
-    def replan(self, ts, decision, per_agent, reason,
-               epoch=None, agent=None, partner=None) -> None:
-        self.inner.replan(
-            ts, decision, per_agent, reason,
-            epoch=epoch, agent=agent, partner=partner,
-        )
-
-    def slo(self, ts, metric, value, bound, ok, burn) -> None:
-        self.inner.slo(ts, metric, value, bound, ok, burn)
-
-    def frame_tick(self, ts) -> None:
-        self.inner.frame_tick(ts)
-
-    @property
-    def events(self):
-        return getattr(self.inner, "events", [])
-
-
 def slo_report(trace: "TraceRecorder | Iterable[TraceEvent]",
                specs: Iterable[SloSpec],
                total_time: float | None = None) -> dict:
@@ -423,11 +369,6 @@ def slo_report(trace: "TraceRecorder | Iterable[TraceEvent]",
             end = event.ts + event.dur
             if end > span_end:
                 span_end = end
-        if event.kind == TraceKind.SPLITTER_ROUTE:
-            engine.observe_route(event.ts)
-        elif event.kind == TraceKind.SHED:
-            engine.observe_shed(event.ts)
-        elif event.kind == TraceKind.MATCH:
-            engine.observe_match(event.ts, event.args.get("latency"))
+        engine.observe(event)
     engine.close(total_time if total_time and total_time > 0 else span_end)
     return engine.report()

@@ -1,4 +1,4 @@
-"""Typed trace events and the tracer interface.
+"""Typed trace events, the tracer interface, and the one recorder.
 
 A :class:`Tracer` receives structured notifications from the simulators
 and the HYPERSONIC components they drive.  The base class is the *null*
@@ -10,16 +10,30 @@ guard event construction behind a single attribute check —
 
 — and a disabled run performs no allocation or bookkeeping at all.
 
-:class:`TraceRecorder` is the recording implementation; it appends
-:class:`TraceEvent` records (virtual-clock timestamps) to an in-memory
-list consumed by :mod:`repro.obs.export`.
+:class:`TraceRecorder` is the only recording implementation: each hook
+builds one :class:`TraceEvent` (virtual-clock timestamps) and hands it,
+in subscription order, to its :class:`Subscriber`\\ s.  A subscriber has
+one event entry point, :meth:`Subscriber.observe`, which the replay
+functions call over a recorded trace as well — so a live consumer and a
+replayed one see the same facts by construction.  The retained trace is
+itself a subscriber, an :class:`EventLog`, consumed by
+:mod:`repro.obs.export`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
-__all__ = ["TraceKind", "TraceEvent", "Tracer", "NULL_TRACER", "TraceRecorder"]
+__all__ = [
+    "TraceKind",
+    "TraceEvent",
+    "Tracer",
+    "NULL_TRACER",
+    "Subscriber",
+    "EventLog",
+    "TraceRecorder",
+]
 
 
 class TraceKind:
@@ -158,10 +172,10 @@ class Tracer:
     def frame_tick(self, ts: float) -> None:
         """The kernel's snapshot cadence fired (and once more at finish).
 
-        A presentation pulse, not a trace event: recorders ignore it (it
-        never appears in a trace, keeping traced runs bit-identical to
-        untraced ones), while sinks with a display — the live dashboard —
-        use it as their repaint signal.
+        A presentation pulse, not a trace event: it never appears in a
+        trace (keeping traced runs bit-identical to untraced ones); the
+        recorder passes it to its subscribers, and those with a display —
+        the live dashboard — use it as their repaint signal.
         """
 
 
@@ -169,39 +183,93 @@ class Tracer:
 NULL_TRACER = Tracer()
 
 
+class Subscriber:
+    """A consumer of trace events, live or replayed.
+
+    :meth:`observe` is the one event entry point: a
+    :class:`TraceRecorder` calls it with each event it records, and the
+    replay functions call it over a recorded trace.  Events are shared
+    with the retained trace, so treat them as read-only.  Both defaults
+    are no-ops.
+    """
+
+    def observe(self, event: TraceEvent) -> None:
+        """Apply one trace event."""
+
+    def frame_tick(self, ts: float) -> None:
+        """The recorder's presentation pulse (see :meth:`Tracer.frame_tick`)."""
+
+
+class EventLog(list, Subscriber):
+    """The retained trace: a list of :class:`TraceEvent` that subscribes
+    by appending."""
+
+    observe = list.append
+
+
+def _events_of(trace: "TraceRecorder | Iterable[TraceEvent]") -> list[TraceEvent]:
+    """The event list of a recorder, or of any iterable of events."""
+    events = getattr(trace, "events", None)
+    if events is not None:
+        return list(events)
+    return list(trace)
+
+
 class TraceRecorder(Tracer):
-    """Tracer that appends :class:`TraceEvent` records to ``events``."""
+    """The recording tracer: one :class:`TraceEvent` per hook call, handed
+    to every subscriber in the order given.
+
+    With no subscribers the recorder keeps one :class:`EventLog`.  Name
+    the subscribers to choose: ``TraceRecorder(EventLog(), board)``
+    retains the trace, then updates *board*; ``TraceRecorder(board)``
+    feeds *board* and retains nothing.  ``events`` is the first
+    :class:`EventLog` subscriber, or an empty tuple when none retains.
+    """
 
     enabled = True
 
-    def __init__(self) -> None:
-        self.events: list[TraceEvent] = []
+    def __init__(self, *subscribers: Subscriber) -> None:
+        if not subscribers:
+            subscribers = (EventLog(),)
+        self.subscribers = subscribers
+        self.events: EventLog | tuple = next(
+            (sub for sub in subscribers if isinstance(sub, EventLog)), ()
+        )
+        self._observers = tuple(sub.observe for sub in subscribers)
 
     def __len__(self) -> int:
         return len(self.events)
 
+    def _emit(self, event: TraceEvent) -> None:
+        for observe in self._observers:
+            observe(event)
+
+    def frame_tick(self, ts: float) -> None:
+        for subscriber in self.subscribers:
+            subscriber.frame_tick(ts)
+
     def unit_busy(self, start: float, dur: float, unit: int, agent: int,
                   role: str, item_kind: str) -> None:
-        self.events.append(TraceEvent(
+        self._emit(TraceEvent(
             TraceKind.UNIT_BUSY, start, dur=dur, unit=unit, agent=agent,
             args={"role": role, "item": item_kind},
         ))
 
     def queue_depth(self, ts: float, agent: int, channel: str,
                     depth: int) -> None:
-        self.events.append(TraceEvent(
+        self._emit(TraceEvent(
             TraceKind.QUEUE_DEPTH, ts, agent=agent,
             args={"channel": channel, "depth": depth},
         ))
 
     def splitter_route(self, ts: float, event_type: str, pushes: int) -> None:
-        self.events.append(TraceEvent(
+        self._emit(TraceEvent(
             TraceKind.SPLITTER_ROUTE, ts,
             args={"type": event_type, "pushes": pushes},
         ))
 
     def splitter_drop(self, ts: float, event_type: str) -> None:
-        self.events.append(TraceEvent(
+        self._emit(TraceEvent(
             TraceKind.SPLITTER_DROP, ts, args={"type": event_type},
         ))
 
@@ -217,11 +285,11 @@ class TraceRecorder(Tracer):
             args["features"] = [
                 [round(value, 9) for value in row] for row in features
             ]
-        self.events.append(TraceEvent(TraceKind.ALLOC_PLAN, ts, args=args))
+        self._emit(TraceEvent(TraceKind.ALLOC_PLAN, ts, args=args))
 
     def fusion_plan(self, ts: float, groups: list[list[int]],
                     per_agent: list[int]) -> None:
-        self.events.append(TraceEvent(
+        self._emit(TraceEvent(
             TraceKind.FUSION_PLAN, ts,
             args={
                 "groups": [list(group) for group in groups],
@@ -231,26 +299,26 @@ class TraceRecorder(Tracer):
 
     def role_switch(self, ts: float, unit: int, agent: int, primary: str,
                     acted: str) -> None:
-        self.events.append(TraceEvent(
+        self._emit(TraceEvent(
             TraceKind.ROLE_SWITCH, ts, unit=unit, agent=agent,
             args={"primary": primary, "acted": acted},
         ))
 
     def migration(self, ts: float, unit: int, from_agent: int,
                   to_agent: int) -> None:
-        self.events.append(TraceEvent(
+        self._emit(TraceEvent(
             TraceKind.MIGRATION, ts, unit=unit, agent=to_agent,
             args={"from": from_agent, "to": to_agent},
         ))
 
     def match(self, ts: float, agent: int, latency: float | None) -> None:
         args = {} if latency is None else {"latency": latency}
-        self.events.append(TraceEvent(
+        self._emit(TraceEvent(
             TraceKind.MATCH, ts, agent=agent, args=args,
         ))
 
     def partition_start(self, ts: float, partition: int, unit: int) -> None:
-        self.events.append(TraceEvent(
+        self._emit(TraceEvent(
             TraceKind.PARTITION_START, ts, unit=unit,
             args={"partition": partition},
         ))
@@ -270,16 +338,16 @@ class TraceRecorder(Tracer):
             args["agent"] = agent
         if partner is not None:
             args["partner"] = partner
-        self.events.append(TraceEvent(TraceKind.REPLAN, ts, args=args))
+        self._emit(TraceEvent(TraceKind.REPLAN, ts, args=args))
 
     def shed(self, ts: float, event_type: str, policy: str) -> None:
-        self.events.append(TraceEvent(
+        self._emit(TraceEvent(
             TraceKind.SHED, ts, args={"type": event_type, "policy": policy},
         ))
 
     def slo(self, ts: float, metric: str, value: float, bound: float,
             ok: bool, burn: float) -> None:
-        self.events.append(TraceEvent(
+        self._emit(TraceEvent(
             TraceKind.SLO, ts,
             args={
                 "metric": metric,

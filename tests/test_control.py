@@ -24,6 +24,7 @@ from repro.control.decisions import DECISION_KINDS
 from repro.core import Pattern
 from repro.core.events import Event, EventType
 from repro.obs.drift import DriftEstimator
+from repro.obs.tracer import TraceRecorder
 from repro.core.errors import SimulationError
 from repro.simulator import simulate
 
@@ -111,6 +112,25 @@ class TestDriftEstimator:
             est.note_busy(0, 1.0)
         assert est.moves() == 0
         assert not est.drifted()
+
+    def test_observe_reads_plans_and_busy_spans_from_a_recorder(self):
+        est = DriftEstimator()
+        recorder = TraceRecorder(est)
+        recorder.alloc_plan(0.0, [2, 2], [1.0, 3.0], "cost")
+        recorder.unit_busy(0.0, 5.0, unit=0, agent=0, role="ES",
+                           item_kind="event")
+        recorder.unit_busy(0.0, 1.0, unit=2, agent=1, role="ES",
+                           item_kind="event")
+        recorder.match(1.0, agent=1, latency=0.5)  # not a drift signal
+        assert est.per_agent == [2, 2]
+        assert est.predicted_loads == [1.0, 3.0]
+        assert est.busy == [5.0, 1.0]
+        assert est.items == 2
+        # a fusion plan carries counts only: they become the prediction
+        recorder.fusion_plan(2.0, [[0, 1]], [3, 1])
+        assert est.predicted_loads == [3.0, 1.0]
+        assert est.busy == [0.0, 0.0]
+        assert est.items == 0
 
 
 class _StubAgent:

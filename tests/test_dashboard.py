@@ -23,7 +23,8 @@ from tests.conftest import make_stream
 from repro.cli import main
 from repro.core import Pattern
 from repro.obs import (
-    DashboardTracer,
+    DashboardPainter,
+    EventLog,
     TraceRecorder,
     final_frame,
     read_jsonl,
@@ -177,18 +178,19 @@ class TestSloAndDecisionPanes:
     def test_live_final_frame_equals_replay_with_slo_events(self, tmp_path):
         from repro.obs import SloSpec
 
-        live = DashboardTracer(inner=TraceRecorder(), strategy="hypersonic")
+        live = DashboardPainter(strategy="hypersonic")
+        recorder = TraceRecorder(EventLog(), live)
         simulate(
             "hypersonic", PATTERN, multi_burst_events(), num_cores=3,
-            tracer=live,
+            tracer=recorder,
             slos=[SloSpec("throughput", bound=0.1, window=5.0)],
         )
         path = tmp_path / "slo.jsonl"
-        write_jsonl(str(path), live)
+        write_jsonl(str(path), recorder)
         events = read_jsonl(str(path))
         assert any(e.kind == TraceKind.SLO for e in events)
         replayed = final_frame(events, strategy="hypersonic")
-        assert live.final_frame() == replayed
+        assert live.frame() == replayed
         assert "slo throughput" in replayed
 
 
@@ -197,22 +199,27 @@ class TestLiveReplayEquivalence:
         ("hypersonic", {"agent_dynamic": True}),
         ("rip", {}),       # partition simulator: -1 pseudo-agent path
         ("llsf", {}),
+        # wall-clock backend: worker spans merged by the parent
+        ("hypersonic", {"backend": "procs", "procs": 2}),
     ])
     def test_final_frames_agree(self, tmp_path, strategy, kwargs):
-        live = DashboardTracer(inner=TraceRecorder(), strategy=strategy)
+        live = DashboardPainter(strategy=strategy)
+        recorder = TraceRecorder(EventLog(), live)
         simulate(strategy, PATTERN, tiny_events(), num_cores=3,
-                 tracer=live, **kwargs)
+                 tracer=recorder, **kwargs)
+        assert len(recorder.events) > 0
         path = tmp_path / "run.jsonl"
-        write_jsonl(str(path), live)
+        write_jsonl(str(path), recorder)
         replayed = final_frame(read_jsonl(str(path)), strategy=strategy)
-        assert live.final_frame() == replayed
+        assert live.frame() == replayed
 
     def test_dashboard_does_not_change_results(self):
         plain = simulate("hypersonic", PATTERN, tiny_events(), num_cores=3,
                          agent_dynamic=True)
-        board = DashboardTracer(inner=TraceRecorder(), strategy="hypersonic")
+        board = DashboardPainter(strategy="hypersonic")
         watched = simulate("hypersonic", PATTERN, tiny_events(), num_cores=3,
-                           agent_dynamic=True, tracer=board)
+                           agent_dynamic=True,
+                           tracer=TraceRecorder(EventLog(), board))
         assert watched.total_time == plain.total_time
         assert watched.matches == plain.matches
         assert watched.throughput == plain.throughput
@@ -220,12 +227,12 @@ class TestLiveReplayEquivalence:
 
     def test_live_painting_throttle_skips_frames(self):
         out = io.StringIO()
-        board = DashboardTracer(
-            inner=TraceRecorder(), strategy="hypersonic",
+        board = DashboardPainter(
+            strategy="hypersonic",
             dashboard=Dashboard(out, tty=False), min_seconds=3600.0,
         )
         simulate("hypersonic", PATTERN, multi_burst_events(), num_cores=3,
-                 tracer=board)
+                 tracer=TraceRecorder(EventLog(), board))
         # The first tick paints; every later tick falls inside the
         # wall-clock throttle window.
         assert board.dashboard.frames_painted == 1
@@ -240,12 +247,11 @@ class TestLiveReplayEquivalence:
 
     def test_live_painting_unthrottled_paints_every_tick(self):
         out = io.StringIO()
-        board = DashboardTracer(
-            inner=TraceRecorder(), strategy="hypersonic",
-            dashboard=Dashboard(out, tty=False),
+        board = DashboardPainter(
+            strategy="hypersonic", dashboard=Dashboard(out, tty=False),
         )
         simulate("hypersonic", PATTERN, multi_burst_events(), num_cores=3,
-                 tracer=board)
+                 tracer=TraceRecorder(EventLog(), board))
         assert board.dashboard.frames_painted > 1
         assert "repro dashboard" in out.getvalue()
 
@@ -453,6 +459,45 @@ class TestSimulateDashboardCli:
         assert "repro dashboard · hypersonic" in out
         assert "\x1b" not in out  # headless output stays escape-free
 
+    def test_dashboard_only_run_retains_no_events(self, tmp_path, capsys,
+                                                  monkeypatch):
+        csv = tmp_path / "stocks.csv"
+        assert main([
+            "generate", "stocks", str(csv),
+            "--events", "300", "--types", "4", "--seed", "3",
+        ]) == 0
+        recorders = []
+
+        class SpyRecorder(TraceRecorder):
+            def __init__(self, *subscribers):
+                super().__init__(*subscribers)
+                recorders.append(self)
+
+        monkeypatch.setattr("repro.obs.TraceRecorder", SpyRecorder)
+        capsys.readouterr()
+        assert main([
+            "simulate", "stocks", str(csv), "--cores", "3",
+            "--strategies", "hypersonic", "--dashboard",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert len(recorders) == 1
+        (recorder,) = recorders
+        assert recorder.events == ()
+        assert not any(
+            isinstance(sub, EventLog) for sub in recorder.subscribers
+        )
+        painted = out.split("-- dashboard (hypersonic) --\n", 1)[1]
+        # The painted frame is the full end-of-run frame: the one a
+        # traced run of the same stream replays to.
+        trace = tmp_path / "run.jsonl"
+        assert main([
+            "simulate", "stocks", str(csv), "--cores", "3",
+            "--strategies", "hypersonic", "--trace-jsonl", str(trace),
+        ]) == 0
+        replayed = final_frame(read_jsonl(str(trace)), strategy="hypersonic")
+        assert painted.startswith(replayed + "\n")
+        assert "repro dashboard · hypersonic" in replayed
+
     def test_simulate_dashboard_off_unchanged(self, tmp_path, capsys):
         csv = tmp_path / "stocks.csv"
         assert main([
@@ -472,12 +517,12 @@ class TestBenchFactoryHook:
         from repro.bench.harness import paced_latencies
 
         boards = {}
+        recorders = {}
 
         def factory(name):
-            boards[name] = DashboardTracer(
-                inner=TraceRecorder(), strategy=name
-            )
-            return boards[name]
+            boards[name] = DashboardPainter(strategy=name)
+            recorders[name] = TraceRecorder(EventLog(), boards[name])
+            return recorders[name]
 
         results = paced_latencies(
             PATTERN, tiny_events(), cores=2,
@@ -485,9 +530,10 @@ class TestBenchFactoryHook:
         )
         assert set(results) == {"hypersonic", "sequential"}
         assert set(boards) == {"hypersonic", "sequential"}
-        for board in boards.values():
-            assert "repro dashboard" in board.final_frame()
-            assert len(board.events) > 0  # inner recorder got the trace
+        for name, board in boards.items():
+            assert "repro dashboard" in board.frame()
+            # the recorder the board hangs off kept the trace
+            assert len(recorders[name].events) > 0
 
 
 class TestJsonlRoundTripStaysExact:

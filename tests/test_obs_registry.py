@@ -1,4 +1,4 @@
-"""Tests for the metrics registry, exporters, and the MetricsTracer."""
+"""Tests for the metrics registry, exporters, and the metrics subscriber."""
 
 import json
 
@@ -7,11 +7,15 @@ import pytest
 from tests.conftest import make_stream
 from repro.core import Pattern
 from repro.obs import (
+    EventLog,
     MetricsRegistry,
-    MetricsTracer,
+    MetricsSubscriber,
+    SloSpec,
     TraceRecorder,
     populate_from_summary,
     prometheus_text,
+    read_jsonl,
+    write_jsonl,
 )
 from repro.simulator import simulate
 
@@ -125,12 +129,14 @@ class TestExporters:
 
 
 class TestMetricsTracer:
+    """A :class:`MetricsSubscriber` on a live recording tracer."""
+
     def test_live_run_populates_registry(self):
         events = make_stream(num_events=300, seed=51)
-        tracer = MetricsTracer(strategy="hypersonic")
+        metrics = MetricsSubscriber(strategy="hypersonic")
         result = simulate("hypersonic", PATTERN, events, num_cores=4,
-                          tracer=tracer)
-        dump = tracer.registry.to_json()
+                          tracer=TraceRecorder(metrics))
+        dump = metrics.registry.to_json()
         matches = sum(s["value"]
                       for s in dump["sim_matches_total"]["series"])
         assert matches == result.matches
@@ -143,15 +149,17 @@ class TestMetricsTracer:
             for series in family["series"]:
                 assert series["labels"].get("strategy") == "hypersonic"
 
-    def test_chains_to_inner_recorder(self):
+    def test_recorder_keeps_trace_beside_metrics(self):
         events = make_stream(num_events=200, seed=52)
-        inner = TraceRecorder()
-        tracer = MetricsTracer(inner=inner)
+        log = EventLog()
+        metrics = MetricsSubscriber()
+        recorder = TraceRecorder(log, metrics)
         result = simulate("hypersonic", PATTERN, events, num_cores=3,
-                          tracer=tracer)
-        assert len(inner.events) > 0
-        # the exporters see the inner recorder's events through the facade
-        assert list(tracer.events) == list(inner.events)
+                          tracer=recorder)
+        assert len(log) > 0
+        # the exporters see the recorder's events: the log itself
+        assert recorder.events is log
+        assert metrics.registry.to_json()["sim_items_total"]["series"]
         # and the kernel attached the full obs summary from those events
         assert "latency_breakdown" in result.extra["obs"]
 
@@ -160,21 +168,46 @@ class TestMetricsTracer:
         plain = simulate("hypersonic", PATTERN, events, num_cores=3,
                          tracer=TraceRecorder())
         metered = simulate("hypersonic", PATTERN, events, num_cores=3,
-                           tracer=MetricsTracer())
+                           tracer=TraceRecorder(MetricsSubscriber()))
         assert metered.matches == plain.matches
         assert metered.total_time == plain.total_time
 
     def test_dynamics_counter(self):
         pattern = Pattern.sequence(["A", "B", "C", "D"], window=8.0)
         events = make_stream(num_events=400, seed=13)
-        tracer = MetricsTracer()
+        metrics = MetricsSubscriber()
         simulate("hypersonic", pattern, events, num_cores=5,
-                 agent_dynamic=True, tracer=tracer)
-        dump = tracer.registry.to_json()
+                 agent_dynamic=True, tracer=TraceRecorder(metrics))
+        dump = metrics.registry.to_json()
         kinds = {s["labels"]["kind"]: s["value"]
                  for s in dump["sim_dynamics_total"]["series"]}
         assert kinds.get("role_switch", 0) > 0
         assert kinds.get("migration", 0) > 0
+
+    def test_live_registry_equals_jsonl_replay(self, tmp_path):
+        events = make_stream(num_events=400, seed=13)
+        live = MetricsSubscriber(strategy="hypersonic")
+        recorder = TraceRecorder(EventLog(), live)
+        simulate(
+            "hypersonic", PATTERN, events, num_cores=4, agent_dynamic=True,
+            adapt="on", shed_bound=4, tracer=recorder,
+            slos=[SloSpec("p95_latency", bound=2.0, window=5.0)],
+        )
+        path = tmp_path / "run.jsonl"
+        write_jsonl(str(path), recorder)
+        replayed = MetricsSubscriber(strategy="hypersonic")
+        for event in read_jsonl(str(path)):
+            replayed.observe(event)
+        live_dump = live.registry.to_json()
+        # every event-fed family saw traffic, so the comparison covers it
+        for name in ("sim_items_total", "sim_queue_depth",
+                     "sim_match_latency", "sim_dynamics_total",
+                     "sim_replans_total", "sim_shed_total",
+                     "sim_slo_windows_total", "sim_slo_burn_rate"):
+            assert live_dump[name]["series"], name
+        assert json.dumps(live_dump, sort_keys=True) == json.dumps(
+            replayed.registry.to_json(), sort_keys=True
+        )
 
 
 class TestPopulateFromSummary:

@@ -9,10 +9,9 @@ from repro.obs import (
     SLO_METRICS,
     SloEngine,
     SloSpec,
-    SloTracer,
     slo_report,
 )
-from repro.obs.tracer import TraceKind, TraceRecorder
+from repro.obs.tracer import EventLog, TraceKind, TraceRecorder
 
 
 class TestSloSpec:
@@ -222,16 +221,15 @@ class TestLiveReplayParity:
         SloSpec("throughput", bound=2.0, window=1.0),
     )
 
-    def _drive(self, tracer, evaluate_midrun):
-        engine = tracer.engine
+    def _drive(self, recorder, engine, evaluate_midrun):
         ts = 0.0
         for step in range(60):
             ts = step * 0.1
-            tracer.splitter_route(ts, "S0", 1)
+            recorder.splitter_route(ts, "S0", 1)
             if step % 7 == 0:
-                tracer.shed(ts, "S0", "pattern")
+                recorder.shed(ts, "S0", "pattern")
             if step % 3 == 0:
-                tracer.match(ts, agent=0, latency=1.0 + (step % 5))
+                recorder.match(ts, agent=0, latency=1.0 + (step % 5))
             if evaluate_midrun and step % 10 == 0:
                 engine.evaluate(ts)
         total = ts + 0.1
@@ -239,10 +237,10 @@ class TestLiveReplayParity:
         return total
 
     def test_live_report_equals_trace_replay_byte_for_byte(self):
-        recorder = TraceRecorder()
-        tracer = SloTracer(SloEngine(list(self._SPECS)), inner=recorder)
-        total = self._drive(tracer, evaluate_midrun=True)
-        live = json.dumps(tracer.engine.report(), sort_keys=True)
+        engine = SloEngine(list(self._SPECS))
+        recorder = TraceRecorder(EventLog(), engine)
+        total = self._drive(recorder, engine, evaluate_midrun=True)
+        live = json.dumps(engine.report(), sort_keys=True)
         replayed = json.dumps(
             slo_report(recorder.events, list(self._SPECS), total_time=total),
             sort_keys=True,
@@ -254,9 +252,9 @@ class TestLiveReplayParity:
         # often the control plane polls must be invisible in the report.
         reports = []
         for midrun in (True, False):
-            tracer = SloTracer(SloEngine(list(self._SPECS)))
-            self._drive(tracer, evaluate_midrun=midrun)
-            reports.append(json.dumps(tracer.engine.report(), sort_keys=True))
+            engine = SloEngine(list(self._SPECS))
+            self._drive(TraceRecorder(engine), engine, evaluate_midrun=midrun)
+            reports.append(json.dumps(engine.report(), sort_keys=True))
         assert reports[0] == reports[1]
 
     def test_engine_mirrors_window_closes_to_the_tracer(self):
@@ -274,17 +272,27 @@ class TestLiveReplayParity:
         assert slo_events[0].args["ok"] is False  # 1 admit < floor of 2
         assert "burn" in slo_events[0].args
 
-    def test_tracer_chains_to_inner_and_exposes_events(self):
-        recorder = TraceRecorder()
-        tracer = SloTracer(SloEngine(list(self._SPECS)), inner=recorder)
-        tracer.splitter_route(0.1, "S0", 1)
-        tracer.shed(0.2, "S1", "tail")
-        tracer.match(0.3, agent=0, latency=2.0)
-        tracer.replan(0.4, "migrate", [3, 1], "drift", epoch=2)
-        tracer.slo(1.0, "recall", 0.5, 0.9, False, 1.0)
-        kinds = [event.kind for event in tracer.events]
+    def test_recorder_feeds_engine_and_keeps_events(self):
+        log = EventLog()
+        engine = SloEngine(list(self._SPECS))
+        recorder = TraceRecorder(log, engine)
+        recorder.splitter_route(0.1, "S0", 1)
+        recorder.shed(0.2, "S1", "tail")
+        recorder.match(0.3, agent=0, latency=2.0)
+        recorder.replan(0.4, "migrate", [3, 1], "drift", epoch=2)
+        recorder.slo(1.0, "recall", 0.5, 0.9, False, 1.0)
+        kinds = [event.kind for event in recorder.events]
         assert kinds == [
             TraceKind.SPLITTER_ROUTE, TraceKind.SHED, TraceKind.MATCH,
             TraceKind.REPLAN, TraceKind.SLO,
         ]
-        assert tracer.events is recorder.events
+        assert recorder.events is log
+        # the engine observed the same route, shed and match
+        engine.close(1.0)
+        by_metric = {
+            row["spec"]["metric"]: row["windows"][0]
+            for row in engine.report()["specs"]
+        }
+        assert by_metric["recall"]["count"] == 2
+        assert by_metric["recall"]["value"] == 0.5
+        assert by_metric["p95_latency"]["value"] == 2.0
