@@ -60,7 +60,7 @@ __all__ = [
 #: Version tag embedded in every snapshot; bump on layout changes.
 #: Schema 2 added the sensors-dataset scenario and the optional
 #: ``tuned_parameters`` block.  Schema 3 added the batched_throughput
-#: scenario (scalar hypersonic vs the batch_size=64 vectorized mode).
+#: scenario (hypersonic at batch_size 1 vs batch_size 64).
 #: Schema 4 added the skewed/shifted stock variants and the
 #: adaptation_recall scenario (static tail-shedding vs the runtime
 #: control plane's pattern shedding under paced overload).  Schema 5
@@ -81,6 +81,10 @@ DEFAULT_THRESHOLD = 0.15
 
 _SNAPSHOT_PATTERN = re.compile(r"^BENCH_.*\.json$")
 
+#: The names :func:`write_snapshot` gives an ISO-dated snapshot:
+#: ``BENCH_<date>.json``, then ``BENCH_<date>.<N>.json`` on the same date.
+_DATED_SNAPSHOT = re.compile(r"^BENCH_(\d{4}-\d{2}-\d{2})(?:\.(\d+))?\.json$")
+
 #: Strategy sets of the two scenarios (the paper's Figures 7 and 8).
 _THROUGHPUT_STRATEGIES = ("sequential", "hypersonic", "state", "rip", "llsf")
 _LATENCY_STRATEGIES = ("sequential", "hypersonic", "rip", "llsf")
@@ -90,7 +94,8 @@ _LATENCY_STRATEGIES = ("sequential", "hypersonic", "rip", "llsf")
 #: common sustainable rate).
 _LATENCY_LOAD = 0.7
 
-#: Micro-batch size of the batched_throughput scenario (schema 3).
+#: Items per agent turn in the batched_throughput scenario's batched row
+#: (schema 3).
 _BATCH_SIZE = 64
 
 #: kleene_throughput (schema 6): window of the trip-chain Kleene query,
@@ -252,11 +257,11 @@ def run_bench(
             f"{kleene_results['sequential'].matches} benched"
         )
 
-    # Batched execution mode (schema 3): scalar hypersonic vs the same
-    # deployment with batch_size=64 vectorized micro-batching, on the
-    # stock workload.  The rows share every knob except batch_size, so the
-    # cell pair pins the batching speedup itself; the match counts must
-    # agree (the scalar path is the differential oracle).
+    # Batched execution mode (schema 3): hypersonic at batch_size 1 vs the
+    # same deployment grouping 64 items per turn, on the stock workload.
+    # The rows share every knob except batch_size, so the cell pair pins
+    # what grouping alone does to the virtual clock; the match counts must
+    # agree (every item takes the same per-item join path).
     batched_results: dict[str, SimResult] = {}
     for label, batch_size in (("hypersonic", 1), ("hypersonic_batched", _BATCH_SIZE)):
         batched_results[label] = simulate(
@@ -597,8 +602,14 @@ def write_snapshot(snapshot: Mapping, directory: str = ".") -> str:
 
 def latest_snapshot(directory: str = ".",
                     exclude: str | None = None) -> str | None:
-    """Path of the newest ``BENCH_*.json`` in *directory* (mtime order),
-    skipping *exclude* (the snapshot just written)."""
+    """Path of the newest ``BENCH_*.json`` in *directory*, skipping
+    *exclude* (the snapshot just written).
+
+    Names :func:`write_snapshot` gives are ordered by the date and ``.N``
+    suffix they carry: a git checkout stamps every file with one mtime, so
+    mtime cannot tell committed snapshots apart.  Other ``BENCH_*.json``
+    names rank below the dated ones, newest mtime first.
+    """
     if not os.path.isdir(directory):
         return None
     exclude_abs = os.path.abspath(exclude) if exclude else None
@@ -609,10 +620,15 @@ def latest_snapshot(directory: str = ".",
         path = os.path.join(directory, name)
         if exclude_abs and os.path.abspath(path) == exclude_abs:
             continue
-        candidates.append((os.path.getmtime(path), name, path))
+        dated = _DATED_SNAPSHOT.match(name)
+        if dated:
+            key = (1, dated.group(1), int(dated.group(2) or 0), name)
+        else:
+            key = (0, "", os.path.getmtime(path), name)
+        candidates.append((key, path))
     if not candidates:
         return None
-    return max(candidates)[2]
+    return max(candidates)[1]
 
 
 def compare_snapshots(previous: Mapping, current: Mapping,

@@ -132,8 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help=(
-            "micro-batch size for the batched execution mode (vectorized "
-            "predicate kernels + amortized buffer locks); 1 = scalar path"
+            "items the splitter routes and an agent drains per turn; "
+            "the match set is the same for every N (default 1)"
         ),
     )
     sim.add_argument(

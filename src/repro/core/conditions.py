@@ -367,11 +367,11 @@ def center_history(
     ``None`` if the correlation is degenerate (too short or constant, so
     always 0.0).
 
-    Both the scalar :func:`pearson_correlation` and the batched kernels in
-    :mod:`repro.core.vectorized` center through this one function, so
-    their per-history arithmetic is the same code.  Results for tuples are
-    cached by identity in a table of at most :data:`CENTER_CACHE_SIZE`
-    entries; lists may change between calls and are never cached.
+    :func:`pearson_correlation` centers each side through this function,
+    so a history compared against many partial matches is centered once.
+    Results for tuples are cached by identity in a table of at most
+    :data:`CENTER_CACHE_SIZE` entries; lists may change between calls and
+    are never cached.
     """
     if type(seq) is tuple:
         entry = _centered.get(id(seq))

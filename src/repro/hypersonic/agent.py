@@ -53,7 +53,7 @@ from typing import Callable
 
 from repro.core.events import Event
 from repro.core.matches import PartialMatch
-from repro.core.nfa import NegationGuard, Stage, last_bound_event, seq_order_allows
+from repro.core.nfa import NegationGuard, Stage, seq_order_allows
 from repro.hypersonic.buffers import AgentGlobalBuffer, BufferSnapshot, FragmentedBuffer
 from repro.hypersonic.items import ItemKind, Receipt, WorkItem, WorkQueue
 
@@ -144,14 +144,6 @@ class AgentCore:
         self.latest_event_ts = float("-inf")
         self.latest_match_ts = float("-inf")
         self.items_processed = 0
-        # Batched execution mode (opt-in via :meth:`enable_vector_mode`):
-        # a compiled per-stage kernel plus cached columnar views over the
-        # EB/MB fragments.  ``None`` kernel = stage not vectorizable; the
-        # scalar path is then used unconditionally.
-        self.vector_mode = False
-        self._vector_kernel = None
-        self._eb_columns: dict[int, object] = {}
-        self._mb_columns: dict[int, object] = {}
         # Callable returning the minimum timestamp of any partial match
         # still alive anywhere in the system (queued, buffered, or
         # quarantined at any agent).  Guard-event purges must respect it:
@@ -198,42 +190,13 @@ class AgentCore:
         self._drain_kleene(receipt, unit_id)
         return receipt
 
-    def enable_vector_mode(self) -> bool:
-        """Compile this stage's vectorized kernel (batched mode).
-
-        Returns ``True`` when the stage's conditions are vectorizable;
-        otherwise the agent stays on the scalar path (Kleene stages,
-        arbitrary predicates).  Idempotent.
-        """
-        if self._vector_kernel is None:
-            from repro.core.vectorized import compile_stage_kernel
-
-            self._vector_kernel = compile_stage_kernel(self.stage)
-        self.vector_mode = self._vector_kernel is not None
-        return self.vector_mode
-
     def process_batch(self, items: list[WorkItem], unit_id: int) -> Receipt:
-        """Process a micro-batch of work items with one merged receipt.
+        """Process the items of one agent turn with one merged receipt.
 
-        Event batches on a vectorized stage take the batched scan — one
-        MB-fragment lock per batch instead of one per event.  Anything
-        else (mixed kinds, guard items, non-vectorizable stages) falls
-        back to the scalar loop; the match set is identical either way
-        because pair evaluation is exactly-once regardless of
-        interleaving (see the module docstring's streaming-join note).
+        ``batch_size`` only groups items into a turn: each still goes
+        through :meth:`process`, so the match set is the per-item one.
+        :class:`~repro.hypersonic.fusion.FusedAgentCore` shares this body.
         """
-        if (
-            len(items) > 1
-            and self.vector_mode
-            and all(item.kind is ItemKind.EVENT for item in items)
-        ):
-            self.items_processed += len(items)
-            receipt = self._process_event_batch(
-                [item.payload for item in items], unit_id
-            )
-            self._release_quarantine(receipt)
-            self._drain_kleene(receipt, unit_id)
-            return receipt
         receipt = Receipt()
         for item in items:
             receipt.merge(self.process(item, unit_id))
@@ -315,77 +278,6 @@ class AgentCore:
         self._store_event(event, unit_id)
         return receipt
 
-    def _process_event_batch(self, events: list[Event], unit_id: int) -> Receipt:
-        """Batched event scan: one MB traversal amortized over the batch.
-
-        ES deliveries are timestamp-FIFO, so the purge horizon derives from
-        the *first* event of the batch — every later event's matchable
-        partials (``earliest >= ts - window``) then survive the purge, and
-        the extra partials a laxer horizon retains cannot match (they fail
-        ``fits_with``), keeping the match set identical to the scalar
-        order.  Deferring the stores to the end of the batch is safe for
-        the same reason: events of this stage's type never join against
-        each other (non-Kleene stages only — Kleene stages are never
-        vectorized).
-        """
-        receipt = Receipt()
-        window = self.window
-        stage = self.stage
-        kernel = self._vector_kernel
-        horizon = events[0].timestamp - window - self.match_purge_slack
-        for event in events:
-            if event.timestamp > self.latest_event_ts:
-                self.latest_event_ts = event.timestamp
-        for owner, fragment in self.match_buffer.fragments():
-            self._purge_match_fragment(owner, horizon)
-            resident = self.match_buffer._fragments.get(owner)
-            if not resident:
-                receipt.note_fragment(0)
-                continue
-            receipt.note_fragment(len(resident))
-            columns = self._match_columns(owner, resident)
-            for event in events:
-                candidates = columns.candidate_indices(event, window)
-                if not candidates:
-                    continue
-                receipt.vector_comparisons += len(candidates)
-                accepted = kernel.accepts_over_matches(
-                    event, columns, candidates,
-                    scalar=lambda i, e=event, r=resident: stage.accepts(r[i], e),
-                )
-                for index in accepted:
-                    extended = self._bind(resident[index], event)
-                    self._route_new_candidate(
-                        extended, event.timestamp, receipt
-                    )
-        for event in events:
-            self._store_event(event, unit_id)
-        return receipt
-
-    def _match_columns(self, owner: int, fragment: list[PartialMatch]):
-        from repro.core.vectorized import MatchColumns
-
-        version = self.match_buffer.version(owner)
-        columns = self._mb_columns.get(owner)
-        if columns is None or columns.version != version:
-            columns = MatchColumns(
-                self._vector_kernel, version, self.stages, self.stage_index
-            )
-            self._mb_columns[owner] = columns
-        columns.sync(fragment)
-        return columns
-
-    def _event_columns(self, owner: int, fragment: list[Event]):
-        from repro.core.vectorized import EventColumns
-
-        version = self.event_buffer.version(owner)
-        columns = self._eb_columns.get(owner)
-        if columns is None or columns.version != version:
-            columns = EventColumns(self._vector_kernel, version)
-            self._eb_columns[owner] = columns
-        columns.sync(fragment)
-        return columns
-
     # -- match path ------------------------------------------------------ #
 
     def _process_match(self, partial: PartialMatch, unit_id: int) -> Receipt:
@@ -418,9 +310,6 @@ class AgentCore:
                 self._purge_event_fragment(owner, horizon)
             resident = self.event_buffer._fragments.get(owner, ())
             receipt.note_fragment(len(resident))
-            if self.vector_mode and not looping and resident:
-                self._scan_events_vector(partial, resident, owner, receipt)
-                continue
             for event in resident:
                 if not partial.fits_with(event, window):
                     continue
@@ -466,35 +355,6 @@ class AgentCore:
                 return receipt
         self._store_match(partial, unit_id)
         return receipt
-
-    def _scan_events_vector(
-        self, partial: PartialMatch, resident: list[Event], owner: int,
-        receipt: Receipt,
-    ) -> None:
-        """Vectorized EB-fragment scan for one arriving (non-Kleene) match:
-        window/order pre-masks over the columnar view, then the stage
-        kernel over the surviving candidates."""
-        stage = self.stage
-        columns = self._event_columns(owner, resident)
-        last = last_bound_event(partial, self.stages, self.stage_index)
-        if last is None:
-            last_ts, last_id = float("-inf"), -1
-        else:
-            last_ts, last_id = last.timestamp, last.event_id
-        candidates = columns.candidate_indices(
-            partial.earliest, partial.latest, last_ts, last_id, self.window
-        )
-        if not candidates:
-            return
-        receipt.vector_comparisons += len(candidates)
-        accepted = self._vector_kernel.accepts_over_events(
-            partial, columns, candidates,
-            scalar=lambda i: stage.accepts(partial, resident[i]),
-        )
-        for index in accepted:
-            event = resident[index]
-            extended = self._bind(partial, event)
-            self._route_new_candidate(extended, event.timestamp, receipt)
 
     # -- guard path ------------------------------------------------------ #
 

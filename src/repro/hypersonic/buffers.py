@@ -31,15 +31,11 @@ class FragmentedBuffer(Generic[ItemT]):
     contents expire, exactly as in Section 4.1).
     """
 
-    __slots__ = ("name", "_fragments", "_versions", "stored", "purged")
+    __slots__ = ("name", "_fragments", "stored", "purged")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._fragments: dict[int, list[ItemT]] = {}
-        # Per-fragment purge generation.  Appends leave the version alone
-        # (columnar views extend incrementally); any removal bumps it so
-        # cached views over the fragment rebuild.
-        self._versions: dict[int, int] = {}
         self.stored = 0
         self.purged = 0
 
@@ -47,24 +43,19 @@ class FragmentedBuffer(Generic[ItemT]):
         self._fragments.setdefault(owner, []).append(item)
         self.stored += 1
 
-    def version(self, owner: int) -> int:
-        """Purge generation of one fragment (0 if never purged)."""
-        return self._versions.get(owner, 0)
-
     def replace_fragment(self, owner: int, kept: list[ItemT]) -> None:
         """Install the post-purge contents of one fragment.
 
-        Accounts the removed items, bumps the fragment's version, and drops
-        the fragment entirely when emptied (a fragment left behind by a
-        migrated worker stops costing a lock per traversal once its
-        contents expire — Section 4.1).  No-op when nothing was removed.
+        Accounts the removed items and drops the fragment entirely when
+        emptied (a fragment left behind by a migrated worker stops costing
+        a lock per traversal once its contents expire — Section 4.1).
+        No-op when nothing was removed.
         """
         fragment = self._fragments.get(owner)
         removed = (len(fragment) if fragment else 0) - len(kept)
         if removed <= 0:
             return
         self.purged += removed
-        self._versions[owner] = self._versions.get(owner, 0) + 1
         if kept:
             self._fragments[owner] = kept
         else:

@@ -9,7 +9,7 @@ extends are handed to stage two's match path in the same call instead of
 crossing a queue — the paper's "written to ``MB_{i+1}`` triggering a
 comparison against ``EB_{i+1}``" — so exactly-once pair evaluation holds
 across the internal boundary and both stages keep ``AgentCore``'s join,
-scan, purge and vector paths.
+scan and purge paths.
 
 Fusion is planned by :func:`plan_with_fusion` — Algorithm 2: allocate,
 fuse any agent that received fewer than two units with its lighter
@@ -98,7 +98,6 @@ class FusedAgentCore:
         self.mb1 = self.stage1.match_buffer
         self.mb2 = self.stage2.match_buffer
         self.items_processed = 0
-        self.vector_mode = False
 
     # -- work intake ----------------------------------------------------- #
 
@@ -155,33 +154,17 @@ class FusedAgentCore:
             return self.stage2.process(_as_event(item), unit_id)
         return self._into_second(self.stage1.process(item, unit_id), unit_id)
 
-    def process_batch(self, items: list[WorkItem], unit_id: int) -> Receipt:
-        """Process a micro-batch drained from one input queue with one
-        merged receipt, through that stage's batched scan."""
-        self.items_processed += len(items)
-        if items[0].kind is ItemKind.EVENT2:
-            return self.stage2.process_batch(
-                [_as_event(item) for item in items], unit_id
-            )
-        return self._into_second(
-            self.stage1.process_batch(items, unit_id), unit_id
-        )
-
-    def enable_vector_mode(self) -> bool:
-        """Compile both stages' vectorized kernels (batched mode); a stage
-        without one keeps its scalar path.  Idempotent."""
-        first = self.stage1.enable_vector_mode()
-        second = self.stage2.enable_vector_mode()
-        self.vector_mode = first or second
-        return self.vector_mode
+    # One turn's items go through :meth:`process` one by one (the body is
+    # shared with the plain agent), so each stage-one extension meets stage
+    # two before the next item runs.
+    process_batch = AgentCore.process_batch
 
     def _into_second(self, receipt: Receipt, unit_id: int) -> Receipt:
         """Hand stage one's extensions to stage two's match path.
 
         They go in ascending timestamp order: stage two bounds each EB
         purge by the match in hand, so no purge can pass a match still
-        waiting in this hand-off — which also keeps a batched stage-one
-        scan from purging EB2 past anything its own extensions need.
+        waiting in this hand-off.
         """
         internal = sorted(
             receipt.emitted_down, key=lambda partial: partial.timestamp

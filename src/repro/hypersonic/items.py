@@ -155,11 +155,6 @@ class Receipt:
     successes: int = 0
     scanned: int = 0        # buffered items examined across fragments
     scan_sq: int = 0        # sum of squared fragment sizes (cache model)
-    #: Condition evaluations performed inside a vectorized kernel (batched
-    #: mode).  Counted separately because the simulator costs them at a
-    #: discount and without the cache penalty — a columnar sweep is the
-    #: cache-friendly access pattern the penalty models the absence of.
-    vector_comparisons: int = 0
     emitted_down: list[PartialMatch] = field(default_factory=list)
     emitted_self: list[PartialMatch] = field(default_factory=list)
 
@@ -179,6 +174,5 @@ class Receipt:
         self.successes += other.successes
         self.scanned += other.scanned
         self.scan_sq += other.scan_sq
-        self.vector_comparisons += other.vector_comparisons
         self.emitted_down.extend(other.emitted_down)
         self.emitted_self.extend(other.emitted_self)

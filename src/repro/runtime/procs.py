@@ -233,9 +233,6 @@ def _run_worker(spec: _WorkerSpec, inbox, downstream, results) -> None:
         )
         for global_index in range(spec.agent_lo, spec.agent_hi)
     ]
-    if spec.batch_size > 1:
-        for agent in agents:
-            agent.enable_vector_mode()
     hosts_last = spec.agent_hi == spec.num_agents
     stats = _WorkerStats()
     spans = _SpanLog(spec.trace, spec.epoch)
@@ -328,7 +325,6 @@ def _run_worker(spec: _WorkerSpec, inbox, downstream, results) -> None:
             items = [item]
             if (
                 spec.batch_size > 1
-                and agent.vector_mode
                 and item.kind is ItemKind.EVENT
                 and not agent.guard_q.has_ready(float("inf"))
             ):
@@ -346,9 +342,7 @@ def _run_worker(spec: _WorkerSpec, inbox, downstream, results) -> None:
             stats.busy[global_index] = (
                 stats.busy.get(global_index, 0.0) + (ended - started)
             )
-            stats.comparisons += (
-                receipt.comparisons + receipt.vector_comparisons
-            )
+            stats.comparisons += receipt.comparisons
             stats.items += len(items)
             spans.add(started, ended, global_index, role, item.kind.value)
             dispatch(local, receipt)
@@ -395,7 +389,7 @@ def _run_worker(spec: _WorkerSpec, inbox, downstream, results) -> None:
         stats.busy[global_index] = (
             stats.busy.get(global_index, 0.0) + (ended - started)
         )
-        stats.comparisons += receipt.comparisons + receipt.vector_comparisons
+        stats.comparisons += receipt.comparisons
         spans.add(started, ended, global_index, "event", "flush")
         dispatch(local, receipt)
         drain_agent(local)

@@ -60,18 +60,6 @@ __all__ = ["HypersonicSimulation", "simulate_hypersonic"]
 _INJECT = 0
 _WAKE = 1
 
-#: Modelled unit cost of one condition evaluation inside a vectorized
-#: kernel, as a fraction of the scalar ``comparison`` cost.  Batched
-#: Pearson reduces each pair to one dot product over pre-centered rows
-#: (the per-pair mean/deviation work is hoisted out of the pair loop), and
-#: the columnar sweep replaces pointer-chasing with sequential access —
-#: measured per-pair kernel speedups exceed 4x by a wide margin, so 0.25
-#: is a conservative constant.  Vector comparisons also skip the cache
-#: penalty: the penalty models scattered access over a working set, which
-#: a contiguous columnar sweep is precisely not.
-_VECTOR_COMPARISON_DISCOUNT = 0.25
-
-
 @dataclass
 class _SimKnobs:
     inflight_cap: int = 96
@@ -180,12 +168,6 @@ class HypersonicSimulation:
         source = as_source(events)
         engine.ensure_statistics(source.prefix(engine.config.sample_size))
         engine.build()
-        if self.knobs.batch_size > 1:
-            # Compile vectorized stage kernels where the conditions allow;
-            # stages without one (Kleene, arbitrary predicates) keep
-            # the scalar path even inside a batch.
-            for agent in engine.agents:
-                agent.enable_vector_mode()
         if self.shed_bound > 0:
             self.shedder = self._build_shedder()
             engine.splitter.shedder = self.shedder
@@ -477,13 +459,13 @@ class HypersonicSimulation:
         items = [selection.item]
         batch = self.knobs.batch_size
         batch_queue = None
-        if batch > 1 and agent.vector_mode:
-            # Micro-batch: drain up to batch_size ready same-kind items in
-            # one agent turn so the batched scan amortizes the fragment
-            # locks — from the event queue the popped item came from (each
-            # input queue holds one kind, so a single-queue drain is a
-            # single-kind batch by construction).  Ready guard work blocks
-            # batching, as agents drain their guard queue before the ES.
+        if batch > 1:
+            # Micro-batch: drain up to batch_size ready same-kind items into
+            # one agent turn — from the event queue the popped item came
+            # from (each input queue holds one kind, so a single-queue drain
+            # is a single-kind batch by construction).  Ready guard work
+            # blocks batching, as agents drain their guard queue before the
+            # ES.
             for _type, queue, kind in agent.input_routes():
                 if kind is ItemKind.GUARD:
                     if queue.has_ready(time):
@@ -513,7 +495,7 @@ class HypersonicSimulation:
             self._control.observe_busy(selection.agent_index, cost)
         unit.items_processed += len(items)
         self._items_processed += len(items)
-        self._comparisons += receipt.comparisons + receipt.vector_comparisons
+        self._comparisons += receipt.comparisons
         self._total_work += cost
         self._route(agent, receipt, done, unit_id)
         if self._splitter_parked and kernel.admit():
@@ -533,21 +515,12 @@ class HypersonicSimulation:
 
     def _cost_of(self, receipt: Receipt) -> float:
         penalty = self.cache.comparison_penalty(receipt.scanned, receipt.scan_sq)
-        cost = (
+        return (
             receipt.fragments_locked * self.costs.lock
             + receipt.comparisons * self.costs.comparison * penalty
             + self.cache.scan_cost(receipt.scanned, receipt.scan_sq)
             + receipt.pushes * self.costs.queue_push
         )
-        if receipt.vector_comparisons:
-            # Kernel-evaluated pairs: discounted and penalty-free (see
-            # _VECTOR_COMPARISON_DISCOUNT).
-            cost += (
-                receipt.vector_comparisons
-                * self.costs.comparison
-                * _VECTOR_COMPARISON_DISCOUNT
-            )
-        return cost
 
     def _route(self, agent, receipt: Receipt, done: float, unit_id: int) -> None:
         engine = self.engine

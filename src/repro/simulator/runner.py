@@ -94,15 +94,13 @@ def simulate(
     ``adapt="on"``, feed the control plane as replan/shed triggers.  Like
     adaptation, it requires an agent-chain strategy.
 
-    ``batch_size`` enables the opt-in batched execution mode: the
-    splitter injects and agents process events in micro-batches of up to
-    this many, with vectorized predicate kernels where the stage
-    conditions allow (see :mod:`repro.core.vectorized`).  The default of 1
-    is the scalar path, bit-identical to the pinned goldens; any larger
-    value preserves the match set exactly (the scalar path is the
-    differential oracle) while amortizing per-event lock and bookkeeping
-    cost.  Partition strategies are driven event-major by their simulator
-    and accept the knob as a no-op.
+    ``batch_size`` groups work items: the splitter routes up to this many
+    events per turn, and a woken agent drains up to this many ready items
+    from one input queue into one turn.  Every item still takes the one
+    per-item join path, so any value preserves the match set exactly; only
+    the virtual clock's turn boundaries move.  The default of 1 is the
+    path the pinned goldens record.  Partition strategies are driven
+    event-major by their simulator and accept the knob as a no-op.
 
     ``model_costs`` separates the planner's cost model from the simulated
     deployment's actual costs for the planned strategies (``hypersonic``,

@@ -137,11 +137,10 @@ class TestFusedAgentCore:
         assert len(receipt.emitted_down) == 1
 
     def test_batched_scan_keeps_eb2_for_pending_extensions(self):
-        # A stage-one batch spanning more than W extends the newer seed
-        # first (its MB1 fragment is scanned first).  Stage two must not
-        # purge the C an older extension of the same batch still needs.
+        # A stage-one batch spanning more than W: the newer B's extension
+        # must not lead stage two to purge the C an older extension of the
+        # same batch needs.
         fused = self.build()
-        fused.enable_vector_mode()
         fused.process(WorkItem(ItemKind.EVENT2, ev(C, 5)), unit_id=0)
         for unit, t in ((0, 30), (1, 0)):
             seed = PartialMatch.of("p1", ev(A, t))

@@ -53,10 +53,12 @@ class TestRunBench:
         strategies = batched["strategies"]
         assert set(strategies) == {"hypersonic", "hypersonic_batched"}
         scalar = strategies["hypersonic"]
-        vectorized = strategies["hypersonic_batched"]
-        # Identical detection, faster virtual clock.
-        assert vectorized["matches"] == scalar["matches"] > 0
-        assert vectorized["throughput"] > scalar["throughput"]
+        batched = strategies["hypersonic_batched"]
+        # Identical detection.  Every batched item takes the per-item join
+        # path at the full comparison cost, so this scenario's batched row
+        # must not read faster than batch 1 beyond a 10% margin.
+        assert batched["matches"] == scalar["matches"] > 0
+        assert batched["throughput"] <= scalar["throughput"] * 1.10
 
     def test_variant_scenarios_not_degenerate(self, snapshot):
         for name in ("skewed_throughput", "shifted_throughput"):
@@ -315,6 +317,24 @@ class TestSnapshotFiles:
         assert latest_snapshot(str(tmp_path), exclude=second) == first
         (tmp_path / "notes.json").write_text("{}")  # ignored: no BENCH_ prefix
         assert latest_snapshot(str(tmp_path), exclude=second) == first
+
+    def test_latest_snapshot_reads_names_when_mtimes_tie(self, snapshot,
+                                                         tmp_path):
+        # A git checkout gives every committed snapshot one mtime; the
+        # date and .N suffix in the name must decide, numerically.
+        paths = [write_snapshot(snapshot, str(tmp_path)) for _ in range(11)]
+        later = dict(snapshot, date="2026-01-02")
+        newest = write_snapshot(later, str(tmp_path))
+        undated = tmp_path / "BENCH_manual.json"
+        undated.write_text("{}")
+        for path in [*paths, newest, str(undated)]:
+            os.utime(path, (1_000_000, 1_000_000))
+        assert paths[-1].endswith("BENCH_2026-01-01.10.json")
+        assert latest_snapshot(str(tmp_path)) == newest
+        assert latest_snapshot(str(tmp_path), exclude=newest) == paths[-1]
+        for path in [*paths, newest]:
+            os.remove(path)
+        assert latest_snapshot(str(tmp_path)) == str(undated)
 
 
 class TestCliBench:

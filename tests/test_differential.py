@@ -157,8 +157,8 @@ def test_simulated_strategies_agree_on_match_count(pattern, seed, tuned):
 @pytest.mark.parametrize("pattern,seed", WORKLOADS)
 @pytest.mark.parametrize("batch_size", [2, 7, 64])
 def test_batched_hypersonic_matches_scalar_oracle(pattern, seed, batch_size):
-    """Batched execution (vectorized kernels, micro-batched splitter and
-    agents) must emit exactly the scalar oracle's match-key set."""
+    """Batched execution (splitter and agents grouping up to batch_size
+    items per turn) must emit exactly the scalar oracle's match-key set."""
     events = workload(seed)
     expected = reference_keys(pattern, events)
     sim = HypersonicSimulation(pattern, NUM_UNITS, batch_size=batch_size)
@@ -191,7 +191,7 @@ def test_all_strategies_accept_batch_size(pattern, seed):
 @pytest.mark.parametrize("batch_size", [1, 2, 16])
 def test_fused_batched_matches_scalar_oracle(pattern, seed, batch_size):
     """Fused agents (MB1/EB1 + MB2/EB2 cores) under batched execution:
-    the columnar kernels over both stage groups must reproduce exactly
+    grouping items into turns across both stages must reproduce exactly
     the scalar match-key set, including the batch_size=1 degenerate.
 
     Fusion only moves the internal boundary inside one agent, so with
@@ -229,11 +229,9 @@ def test_adaptive_closed_loop_preserves_match_set(pattern, seed):
     assert {match.key for match in sim.matches} == expected
 
 
-def test_batched_results_backend_independent(monkeypatch):
-    """The numpy kernel and the pure-Python fallback produce bit-identical
-    batched simulations — same matches, same virtual clock."""
-    import repro.core.vectorized as vec
-
+def test_batched_results_reproducible():
+    """Two batched simulations of one stream are bit-identical — same
+    matches, same virtual clock."""
     pattern, seed = WORKLOADS[0]
     events = workload(seed)
 
@@ -243,10 +241,7 @@ def test_batched_results_backend_independent(monkeypatch):
         keys = tuple(sorted(match.key for match in sim.matches))
         return (result.throughput, result.total_time, keys)
 
-    with_backend = run()
-    monkeypatch.setattr(vec, "np", None)
-    without_backend = run()
-    assert with_backend == without_backend
+    assert run() == run()
 
 
 def test_fitted_parameters_differ_from_defaults():
