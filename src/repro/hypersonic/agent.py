@@ -421,7 +421,7 @@ class AgentCore:
                     for guard in self.internal_guards
                 ):
                     return
-            if not self._internal_clear(bind_ts):
+            if not self._clear_at(bind_ts):
                 self._quarantine.append(
                     QuarantineEntry(
                         partial=extended,
@@ -512,9 +512,6 @@ class AgentCore:
                     receipt.emitted_down.append(grown)
                     self._pending_loop.append(grown)
             self._store_match(current, unit_id)
-
-    def _internal_clear(self, bind_ts: float) -> bool:
-        return self._clear_at(bind_ts)
 
     def _clear_at(self, release_ts: float) -> bool:
         """All negated events with timestamp <= release_ts processed?"""

@@ -55,8 +55,6 @@ class WorkItem:
     @property
     def event_timestamp(self) -> float:
         """Event-time of the payload (pm timestamp for matches)."""
-        if self.kind is ItemKind.MATCH:
-            return self.payload.timestamp
         return self.payload.timestamp
 
 

@@ -4,9 +4,10 @@ This module runs the HYPERSONIC agent chain on real OS *processes* — the
 chain is cut into contiguous slices of agents, each slice hosted by one
 worker process, with the parent playing the splitter over bounded
 ``multiprocessing`` queues.  Separate processes execute on separate
-cores, so this backend produces *measured* wall-clock traces: the same JSONL schema the
-virtual-clock simulators emit (``UNIT_BUSY`` spans against a shared
-monotonic epoch, an ``ALLOC_PLAN`` with fittable feature rows), which lets
+cores, so this backend produces *measured* wall-clock traces: the same
+JSONL schema the virtual-clock simulators emit (``UNIT_BUSY`` spans
+against a shared monotonic epoch, an ``ALLOC_PLAN`` with fittable feature
+rows), which lets
 :func:`repro.costmodel.fitting.fit_from_trace` calibrate
 :class:`~repro.costmodel.model.CostParameters` — including the
 window-based communication terms ``comm_event`` / ``comm_match`` (Mayer et
@@ -15,26 +16,41 @@ al., arXiv:1705.05824) — against reality instead of the simulator.
 Topology and protocol
 ---------------------
 ``num_procs = min(procs, num_agents)`` workers each own a contiguous agent
-slice (:func:`agent_slices`).  The parent routes each stream event to the
-process hosting the agent that consumes it (ES event, guard candidate, or
-a stage-0 seed match), piggybacking its splitter watermark on every
-message and broadcasting it periodically so idle workers still purge and
-release negation quarantines.  Workers forward partial matches to the next
-slice's inbox; the last agent's full matches ride back on a result queue
-at shutdown, together with each worker's busy spans, receipts, and
-per-agent communication counters.
+slice (:func:`agent_slices`).  Every inbox message is one *frame*: a list
+of ops.  The parent routes each stream event to the process hosting the
+agent that consumes it (ES event, guard candidate, or a stage-0 seed
+match) by appending an op to that worker's pending frame.  Every
+``wm_interval`` events it flushes one frame to every inbox, even an
+otherwise empty one, with its splitter watermark as the frame's last op,
+so idle workers still purge and release negation quarantines; a last
+frame at end of stream ends with ``_EOS``.  ``queue_capacity`` bounds the
+frames in flight per inbox (``queue_capacity // wm_interval``, at least
+one), which keeps about ``queue_capacity`` events in flight.  A worker
+forwards the partial matches of one loop round to the next slice's inbox
+as one frame, its last frame ending with ``_STOP``.  The last agent's full
+matches ride back on a result queue at shutdown, together with each
+worker's busy spans, receipts, and per-agent communication counters.
+
+Each loop round of a worker takes one frame, transfers all of it into its
+agents' queues, then drains each agent in event-time order: a queued guard
+first, then the older of the ES and MS heads, ties going to the event
+(:func:`_next_queue`).  Once it holds ``_EOS`` (and, past worker 0, the
+upstream ``_STOP``), no frame can follow, so it flushes and exits without
+waiting on its inbox again.
 
 Determinism contract
 --------------------
-Message interleavings are racy, but the agents' streaming join evaluates
-every event/match pair exactly once regardless of arrival order, and a
-worker's local watermark only ever *lags* the parent splitter's eager
-watermark (it advances exclusively through parent-sourced messages, whose
-per-producer FIFO guarantees every guard candidate is enqueued before any
-watermark that passes it).  Lagging is always safe — it can only delay
-purges and quarantine releases — so the match-key set is identical to the
-sequential engine under both ``fork`` and ``spawn`` start methods; only
-span timings vary between runs.
+Frame interleavings across producers are racy, but the agents' streaming
+join evaluates every event/match pair exactly once regardless of arrival
+order, and a worker's local watermark only ever *lags* the parent
+splitter's eager watermark.  It advances only at the last op of a parent
+frame, after the whole frame is transferred; frames are FIFO per
+producer, so every guard candidate is queued before any watermark that
+passes it.  Lagging is always safe — it can only delay purges and
+quarantine releases — so the match-key set is identical to the
+sequential engine under both ``fork`` and ``spawn`` start methods, for
+every ``wm_interval`` and ``queue_capacity``; only span timings vary
+between runs.
 
 Robustness
 ----------
@@ -65,19 +81,21 @@ from repro.core.patterns import Operator, Pattern
 from repro.core.policies import resolve_matches
 from repro.costmodel.model import CostParameters, LoadModel
 from repro.hypersonic.agent import AgentCore
-from repro.hypersonic.items import ItemKind, WorkItem
+from repro.hypersonic.items import ItemKind, WorkItem, WorkQueue
 from repro.obs.tracer import Tracer
 from repro.simulator.metrics import SimResult
 
 __all__ = ["ProcsPipelineEngine", "agent_slices", "partial_size"]
 
-# Inbox opcodes (first tuple element).  Small strings pickle compactly.
-_EVENT = "E"   # (op, local_agent, ItemKind, event, watermark) from parent
-_SEED = "S"    # (op, partial, watermark) stage-0 seed from parent
+# Frame opcodes (first element of each op).  Every inbox message is one
+# *frame*: a list of these ops.  Small strings pickle compactly.
+_EVENT = "E"   # (op, local_agent, event) ES event from the parent
+_GUARD = "G"   # (op, local_agent, event) guard candidate from the parent
+_SEED = "S"    # (op, partial) stage-0 seed from the parent
 _FWD = "F"     # (op, partial) partial match from the upstream worker
-_WM = "W"      # (op, watermark) parent broadcast
+_WM = "W"      # (op, watermark) last op of each periodic parent frame
 _EOS = "X"     # (op,) parent end-of-stream — watermark goes to +inf
-_STOP = "T"    # (op,) upstream worker flushed and stopped
+_STOP = "T"    # (op,) last op of the upstream worker's last frame
 
 #: Gap (seconds) under which consecutive same-key items merge into one
 #: recorded busy span — keeps wall-clock traces compact without losing the
@@ -201,6 +219,25 @@ def _guard_type_names(stages, stage_index: int, is_last: bool) -> frozenset:
 # --------------------------------------------------------------------- #
 
 
+def _next_queue(agent: AgentCore) -> WorkQueue | None:
+    """The input queue a worker pops from next, or None when all are empty.
+
+    A queued guard goes first, so quarantine release points are reached
+    promptly.  Otherwise the older of the ES and MS heads in event time
+    wins, ties going to the event: draining in event-time order keeps the
+    agent's buffers window-bounded however far ahead the parent runs.
+    """
+    if len(agent.guard_q):
+        return agent.guard_q
+    es_time = agent.es.head_event_time()
+    ms_time = agent.ms.head_event_time()
+    if es_time is None:
+        return agent.ms if ms_time is not None else None
+    if ms_time is None or es_time <= ms_time:
+        return agent.es
+    return agent.ms
+
+
 def _worker_main(spec: _WorkerSpec, inbox, downstream, results) -> None:
     # The parent orchestrates shutdown; a Ctrl-C must not tear workers
     # down mid-queue-write (that is what corrupts pipes and leaks locks).
@@ -210,7 +247,7 @@ def _worker_main(spec: _WorkerSpec, inbox, downstream, results) -> None:
     except BaseException as error:  # ship the failure, never hang the chain
         try:
             if downstream is not None:
-                downstream.put((_STOP,))
+                downstream.put([(_STOP,)])
             results.put((
                 "error", spec.worker_index,
                 f"{type(error).__name__}: {error}",
@@ -237,6 +274,8 @@ def _run_worker(spec: _WorkerSpec, inbox, downstream, results) -> None:
     stats = _WorkerStats()
     spans = _SpanLog(spec.trace, spec.epoch)
     matches: list[Match] = []
+    # _FWD ops of the current loop round, sent downstream as one frame.
+    outbox: list[tuple] = []
     clock = time.monotonic
 
     def dispatch(local: int, receipt) -> None:
@@ -261,124 +300,91 @@ def _run_worker(spec: _WorkerSpec, inbox, downstream, results) -> None:
                     stats.match_ptrs_out.get(global_index, 0)
                     + partial_size(partial)
                 )
-                downstream.put((_FWD, partial))
-
-    def transfer(local: int, kind: ItemKind, payload) -> None:
-        agent = agents[local]
-        if kind is ItemKind.GUARD:
-            agent.guard_q.push(WorkItem(ItemKind.GUARD, payload))
-        else:
-            agent.es.push(WorkItem(ItemKind.EVENT, payload))
+                outbox.append((_FWD, partial))
 
     eos = False
     stop = False
 
-    def handle(message) -> None:
+    def handle(frame: list) -> None:
         nonlocal eos, stop
-        op = message[0]
-        if op == _EVENT:
-            _, local, kind, event, wm = message
-            if wm > watermark[0]:
-                watermark[0] = wm
-            global_index = spec.agent_lo + local
-            stats.events_in[global_index] = (
-                stats.events_in.get(global_index, 0) + 1
-            )
-            transfer(local, kind, event)
-        elif op == _SEED:
-            _, partial, wm = message
-            if wm > watermark[0]:
-                watermark[0] = wm
-            stats.match_ptrs_in[spec.agent_lo] = (
-                stats.match_ptrs_in.get(spec.agent_lo, 0) + 1
-            )
-            agents[0].ms.push(WorkItem(ItemKind.MATCH, partial))
-        elif op == _FWD:
-            stats.match_ptrs_in[spec.agent_lo] = (
-                stats.match_ptrs_in.get(spec.agent_lo, 0)
-                + partial_size(message[1])
-            )
-            agents[0].ms.push(WorkItem(ItemKind.MATCH, message[1]))
-        elif op == _WM:
-            if message[1] > watermark[0]:
-                watermark[0] = message[1]
-        elif op == _EOS:
-            eos = True
-            watermark[0] = float("inf")
-        elif op == _STOP:
-            stop = True
+        for op in frame:
+            code = op[0]
+            if code == _EVENT or code == _GUARD:
+                _, local, event = op
+                global_index = spec.agent_lo + local
+                stats.events_in[global_index] = (
+                    stats.events_in.get(global_index, 0) + 1
+                )
+                if code == _EVENT:
+                    agents[local].es.push(WorkItem(ItemKind.EVENT, event))
+                else:
+                    agents[local].guard_q.push(WorkItem(ItemKind.GUARD, event))
+            elif code == _SEED or code == _FWD:
+                stats.match_ptrs_in[spec.agent_lo] = (
+                    stats.match_ptrs_in.get(spec.agent_lo, 0)
+                    + partial_size(op[1])
+                )
+                agents[0].ms.push(WorkItem(ItemKind.MATCH, op[1]))
+            elif code == _WM:
+                if op[1] > watermark[0]:
+                    watermark[0] = op[1]
+            elif code == _EOS:
+                eos = True
+                watermark[0] = float("inf")
+            elif code == _STOP:
+                stop = True
 
-    def drain_agent(local: int) -> bool:
-        """Process everything queued at one agent; True if anything ran."""
+    def drain_agent(local: int) -> None:
+        """Process everything queued at one agent, in event-time order."""
         agent = agents[local]
         global_index = spec.agent_lo + local
-        processed = False
         while True:
-            item = agent.pop("event")
-            role = "event"
-            if item is None:
-                item = agent.pop("match")
-                role = "match"
-            if item is None:
-                return processed
-            processed = True
-            items = [item]
-            if (
-                spec.batch_size > 1
-                and item.kind is ItemKind.EVENT
-                and not agent.guard_q.has_ready(float("inf"))
-            ):
-                while len(items) < spec.batch_size:
-                    follow = agent.es.pop(float("inf"))
-                    if follow is None:
-                        break
-                    items.append(follow)
+            source = _next_queue(agent)
+            if source is None:
+                return
+            items = [source.pop()]
+            # batch_size groups a run of same-queue items into one turn.
+            if source is not agent.guard_q:
+                while len(items) < spec.batch_size \
+                        and _next_queue(agent) is source:
+                    items.append(source.pop())
             started = clock()
             if len(items) > 1:
                 receipt = agent.process_batch(items, unit_id=global_index)
             else:
-                receipt = agent.process(item, unit_id=global_index)
+                receipt = agent.process(items[0], unit_id=global_index)
             ended = clock()
             stats.busy[global_index] = (
                 stats.busy.get(global_index, 0.0) + (ended - started)
             )
             stats.comparisons += receipt.comparisons
             stats.items += len(items)
-            spans.add(started, ended, global_index, role, item.kind.value)
+            role = "match" if source is agent.ms else "event"
+            spans.add(started, ended, global_index, role,
+                      items[0].kind.value)
             dispatch(local, receipt)
             if spec.crash_after is not None \
                     and stats.items >= spec.crash_after:
                 os._exit(23)
 
-    while True:
-        message = None
-        try:
-            message = inbox.get(timeout=0.02)
-        except queue_mod.Empty:
-            pass
-        if message is not None:
-            handle(message)
-        # Transfer the whole pending inbox BEFORE any watermark-dependent
-        # decision — this keeps the negation quarantine sound (every
-        # striking guard routed before a watermark value is already
-        # queued when that value is observed).
-        while True:
-            try:
-                pending = inbox.get_nowait()
-            except queue_mod.Empty:
-                break
-            handle(pending)
-        processed = False
+    # Worker 0 is done at the parent's _EOS; every later worker also needs
+    # its upstream's _STOP.  Each is its producer's last op, and frames are
+    # FIFO per producer, so once done no further frame can arrive.
+    while not (eos and (spec.worker_index == 0 or stop)):
+        # One frame per round, transferred whole BEFORE any watermark-
+        # dependent step.  A parent frame ends with its watermark, so every
+        # guard candidate that watermark passes is queued when the value is
+        # observed — which keeps the negation quarantine sound.  Forwarding
+        # after every frame keeps the downstream worker busy meanwhile.
+        handle(inbox.get())
         for local in range(len(agents)):
-            if drain_agent(local):
-                processed = True
-        done = eos and (spec.worker_index == 0 or stop)
-        if not processed and message is None and not done:
-            # Idle: release quarantines whose point the watermark passed.
-            for local in range(len(agents)):
-                dispatch(local, agents[local].maintenance())
-        if done and not processed:
-            break
+            drain_agent(local)
+            # Release quarantines whose point the new watermark passed.
+            dispatch(local, agents[local].maintenance())
+        if outbox:
+            # A copy: the queue pickles its argument later, in a thread.
+            downstream.put(outbox[:])
+            outbox.clear()
 
     for local, agent in enumerate(agents):
         drain_agent(local)
@@ -392,9 +398,9 @@ def _run_worker(spec: _WorkerSpec, inbox, downstream, results) -> None:
         stats.comparisons += receipt.comparisons
         spans.add(started, ended, global_index, "event", "flush")
         dispatch(local, receipt)
-        drain_agent(local)
     if downstream is not None:
-        downstream.put((_STOP,))
+        outbox.append((_STOP,))
+        downstream.put(outbox)
     spans.close()
     results.put((
         "done", spec.worker_index, matches if hosts_last else None,
@@ -495,10 +501,10 @@ class ProcsPipelineEngine:
         epoch = time.monotonic()
         self._record_plan(stream)
 
-        inboxes = [
-            context.Queue(maxsize=self.queue_capacity)
-            for _ in range(num_procs)
-        ]
+        # Inboxes carry frames of about wm_interval events each, so the
+        # frame bound keeps roughly queue_capacity events in flight.
+        maxsize = max(1, self.queue_capacity // self.wm_interval)
+        inboxes = [context.Queue(maxsize=maxsize) for _ in range(num_procs)]
         results = context.Queue()
         workers = []
         for index, (lo, hi) in enumerate(slices):
@@ -579,7 +585,7 @@ class ProcsPipelineEngine:
             )
             for type_name in guard_types:
                 routes.setdefault(type_name, []).append(
-                    ("G", proc, local)
+                    (_GUARD, proc, local)
                 )
         return routes
 
@@ -587,6 +593,7 @@ class ProcsPipelineEngine:
                results) -> None:
         stage0 = self.nfa.stages[0]
         routes = self._build_routes(slices)
+        frames: list[list[tuple]] = [[] for _ in inboxes]
         watermark = float("-inf")
         sent = 0
         for event in stream:
@@ -596,33 +603,32 @@ class ProcsPipelineEngine:
                 if op == _SEED:
                     if stage0.accepts(PartialMatch.empty(), event):
                         seed = PartialMatch.of(stage0.item.name, event)
-                        self._put(inboxes[proc], (_SEED, seed, watermark),
-                                  workers, deadline, results)
+                        frames[proc].append((_SEED, seed))
                 else:
-                    kind = ItemKind.GUARD if op == "G" else ItemKind.EVENT
-                    self._put(
-                        inboxes[proc],
-                        (_EVENT, local, kind, event, watermark),
-                        workers, deadline, results,
-                    )
+                    frames[proc].append((op, local, event))
             sent += 1
             if sent % self.wm_interval == 0:
-                for inbox in inboxes:
-                    self._put(inbox, (_WM, watermark), workers, deadline,
-                              results)
-        # Broadcast end-of-stream *last worker first*: worker 0 is the only
-        # one that can finish on EOS alone (the rest also need the upstream
+                # One frame per inbox, even an otherwise empty one, so
+                # idle workers still purge and release quarantines.
+                for proc, inbox in enumerate(inboxes):
+                    frames[proc].append((_WM, watermark))
+                    self._put(inbox, frames[proc], workers, deadline, results)
+                    frames[proc] = []
+        # Send end-of-stream *last worker first*: worker 0 is the only one
+        # that can finish on EOS alone (the rest also need the upstream
         # _STOP), so giving it EOS last guarantees no worker exits while
         # this broadcast is still in flight — which keeps the premature-exit
         # check in _check_liveness free of false positives.
-        for inbox in reversed(inboxes):
-            self._put(inbox, (_EOS,), workers, deadline, results)
+        for proc in reversed(range(len(inboxes))):
+            frames[proc].append((_EOS,))
+            self._put(inboxes[proc], frames[proc], workers, deadline,
+                      results)
 
-    def _put(self, inbox, message, workers, deadline,
+    def _put(self, inbox, frame, workers, deadline,
              results=None) -> None:
         while True:
             try:
-                inbox.put(message, timeout=0.2)
+                inbox.put(frame, timeout=0.2)
                 return
             except queue_mod.Full:
                 self._check_liveness(workers, results)

@@ -18,12 +18,15 @@ from tests.conftest import make_stream, reference_matches
 from repro.core import Event, EventType, Pattern
 from repro.core.errors import EngineError, PatternError
 from repro.core.matches import Match, PartialMatch
+from repro.core.nfa import compile_pattern
 from repro.datasets.stocks import StockConfig, generate_stock_stream
 from repro.datasets.trips import TripConfig, generate_trip_stream
+from repro.hypersonic.agent import AgentCore
 from repro.hypersonic.items import ItemKind, WorkItem
 from repro.obs.tracer import TraceEvent, TraceRecorder
 from repro.runtime.procs import (
     ProcsPipelineEngine,
+    _next_queue,
     agent_slices,
     partial_size,
 )
@@ -135,6 +138,56 @@ class TestPickleRoundTrips:
             assert clone.describe() == pattern.describe()
 
 
+class TestDrainOrder:
+    """A worker pops a queued guard first, then the older of its ES and MS
+    heads in event time, ties going to the event."""
+
+    @staticmethod
+    def agent():
+        nfa = compile_pattern(Pattern.sequence(["A", "B", "C"], window=5.0))
+        return AgentCore(
+            agent_index=0, stages=nfa.stages, stage_index=1, window=5.0,
+            watermark=lambda: float("-inf"), is_last=False,
+        )
+
+    @staticmethod
+    def event(name: str, ts: float) -> Event:
+        return Event(EventType(name), ts, {})
+
+    def fill(self, agent, events=(), seeds=(), guards=()):
+        for ts in events:
+            agent.es.push(WorkItem.event(self.event("B", ts)))
+        for ts in seeds:
+            agent.ms.push(WorkItem.match(
+                PartialMatch.of("p1", self.event("A", ts))
+            ))
+        for ts in guards:
+            agent.guard_q.push(WorkItem.guard(self.event("X", ts)))
+
+    def test_ready_guard_beats_both_heads(self):
+        agent = self.agent()
+        self.fill(agent, events=[1.0], seeds=[0.5], guards=[9.0])
+        assert _next_queue(agent) is agent.guard_q
+
+    def test_tie_goes_to_the_event(self):
+        agent = self.agent()
+        self.fill(agent, events=[3.0], seeds=[3.0])
+        assert _next_queue(agent) is agent.es
+
+    def test_drain_interleaves_in_event_time(self):
+        agent = self.agent()
+        self.fill(agent, events=[1.0, 3.0, 5.0], seeds=[2.0, 3.0, 6.0],
+                  guards=[7.0])
+        order = []
+        while (source := _next_queue(agent)) is not None:
+            item = source.pop()
+            order.append((item.kind.value, item.event_timestamp))
+        assert order == [
+            ("guard", 7.0), ("event", 1.0), ("match", 2.0), ("event", 3.0),
+            ("match", 3.0), ("event", 5.0), ("match", 6.0),
+        ]
+
+
 class TestConstructorValidation:
     def test_rejects_non_seq_pattern(self):
         with pytest.raises(PatternError):
@@ -182,10 +235,17 @@ class TestConstructorValidation:
 
 
 GRID = [
-    pytest.param(case, batch, method,
+    pytest.param(case, {"batch_size": batch}, method,
                  id=f"{case}-batch{batch}-{method}")
     for case in ("stocks", "trips")
     for batch in (1, 16)
+    for method in ("fork", "spawn")
+] + [
+    # Backpressure: one frame in flight per inbox.
+    pytest.param(case, {"queue_capacity": 1, "wm_interval": interval},
+                 method, id=f"{case}-cap1-wm{interval}-{method}")
+    for case in ("stocks", "trips")
+    for interval in (1, 7)
     for method in ("fork", "spawn")
 ]
 
@@ -193,17 +253,18 @@ GRID = [
 @pytest.mark.wallclock
 class TestDifferential:
     """Acceptance grid: the procs backend's match-key set is identical to
-    the sequential engine on stocks + trips, batch 1 and 16, under both
-    fork and spawn."""
+    the sequential engine on stocks + trips, batch 1 and 16, and under
+    backpressure at watermark intervals 1 and 7, under both fork and
+    spawn."""
 
-    @pytest.mark.parametrize("case,batch,method", GRID)
-    def test_match_key_parity(self, case, batch, method):
+    @pytest.mark.parametrize("case,knobs,method", GRID)
+    def test_match_key_parity(self, case, knobs, method):
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"start method {method} unavailable")
         pattern, events = stock_case() if case == "stocks" else trip_case()
         want = {m.key for m in reference_matches(pattern, events)}
         engine = ProcsPipelineEngine(
-            pattern, procs=2, batch_size=batch, start_method=method,
+            pattern, procs=2, start_method=method, **knobs,
         )
         got = {m.key for m in engine.run(events, timeout=120.0)}
         assert got == want
@@ -298,6 +359,18 @@ class TestMeasuredTrace:
         assert sum(comm["match_pointers_in"]) > 0
         # The last agent never forwards over IPC.
         assert comm["match_pointers_out"][-1] == 0
+
+    @pytest.mark.parametrize("case", ["stocks", "trips"])
+    def test_comm_counts_independent_of_frame_size(self, case):
+        pattern, events = stock_case() if case == "stocks" else trip_case()
+        comms = []
+        for interval in (1, 64):
+            engine = ProcsPipelineEngine(pattern, procs=2,
+                                         wm_interval=interval)
+            engine.run(events, timeout=120.0)
+            comms.append(engine.result.extra["comm"])
+        assert comms[0] == comms[1]
+        assert sum(comms[0]["match_pointers_out"]) > 0
 
 
 @pytest.mark.wallclock
